@@ -298,7 +298,7 @@ def cmd_landscape(cfg: dict) -> tuple[str, int]:
     f, ok = free_energy_batch(params, m)
 
     notes = [f"axes: m{k1} (rows), m{k2} (columns); other moments at paramagnet"]
-    header = "m1,m2,feasible,F"
+    header = f"m{k1},m{k2},feasible,F"
     if fmt == "json":
         rows = [
             [float(a), float(b), int(o), _plain(v)]

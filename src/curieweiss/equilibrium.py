@@ -19,14 +19,13 @@ from scipy.optimize import brentq
 from .errors import NoSolutionInBracket, NonConvergence
 from .order_params import (
     MomentVector,
-    _charts,
     moment_orbit,
     moments_to_weights_array,
     paramagnet_moments,
     random_weights,
+    weights_to_moments_array,
 )
-from .spectrum import trig_poly
-from .thermo import ModelParams, free_energy, free_energy_weights
+from .thermo import ModelParams, _Kernel, free_energy, free_energy_weights
 
 GRAD_TOL = 1e-8
 _DEDUP_TOL = 1e-6
@@ -42,9 +41,11 @@ _CHART_RESOLUTION = 1e-8
 class Minimum:
     """A converged stationary point of the free energy.
 
-    ``hessian_eigen_min`` is the smallest eigenvalue of the diagonally
-    rescaled Hessian (see _stability_eig); its sign decides the
-    classification, its magnitude is scale-free.
+    ``hessian_eigen_min`` is the smallest eigenvalue of the weight-space
+    Hessian rescaled by sqrt(x) on both sides and restricted to the simplex
+    (see _stability_eig): T at the paramagnet when J2 = 0, the same for
+    every member of one symmetry orbit, and negative exactly at saddles, so
+    its sign decides the classification.
     """
 
     m_star: MomentVector
@@ -68,63 +69,6 @@ class CriticalPoint:
 # free minimization over the simplex
 
 
-class _Objective:
-    """F and its x-space gradient, with the simplex handled by projection."""
-
-    def __init__(self, params: ModelParams):
-        self.params = params
-        l = params.l
-        powers, _ = _charts(l.twice_l)
-        self.powers_k = powers[:, 1:]
-        poly = trig_poly(l)
-        self.c0 = poly.cos_coeffs[0]
-        self.c = poly.cos_coeffs[1:]
-        self.d = poly.sin_coeffs[1:]
-        if params.sector is not None:
-            self.cs = poly.cos_at(params.sector)
-            self.ss = poly.sin_at(params.sector)
-        else:
-            self.cs = self.ss = 0.0
-        self.mid = l.twice_l // 2
-
-    def moments(self, x):
-        return x @ self.powers_k
-
-    def value(self, x):
-        pr = self.params
-        m = self.moments(x)
-        p = self.c0 + self.c @ m
-        q = self.d @ m
-        a = p * p + q * q
-        f = -(pr.j2 / 2) * a - (pr.j4 / 4) * a**2 - (pr.j6 / 6) * a**3 \
-            - (pr.j8 / 8) * a**4
-        f -= pr.g * (self.cs * p + self.ss * q)
-        if pr.h0 != 0.0:
-            f += pr.h0 * x[self.mid]
-        xs = np.maximum(x, 1e-300)
-        f += pr.temperature * float((x * np.log(xs)).sum())
-        return f
-
-    def field(self, x):
-        """The energetic part of the x-gradient (everything but entropy)."""
-        pr = self.params
-        m = self.moments(x)
-        p = self.c0 + self.c @ m
-        q = self.d @ m
-        a = p * p + q * q
-        e1 = -0.5 * (pr.j2 + pr.j4 * a + pr.j6 * a**2 + pr.j8 * a**3)
-        gm = e1 * 2.0 * (p * self.c + q * self.d) \
-            - pr.g * (self.cs * self.c + self.ss * self.d)
-        h = self.powers_k @ gm
-        if pr.h0 != 0.0:
-            h[self.mid] += pr.h0
-        return h
-
-    def grad(self, x):
-        return self.field(x) \
-            + self.params.temperature * (np.log(np.maximum(x, 1e-300)) + 1.0)
-
-
 def _project_simplex(v: np.ndarray) -> np.ndarray:
     u = np.sort(v)[::-1]
     cum = np.cumsum(u) - 1.0
@@ -134,25 +78,25 @@ def _project_simplex(v: np.ndarray) -> np.ndarray:
     return np.maximum(v - theta, 0.0)
 
 
-def _descend(obj: _Objective, x0: np.ndarray, cap: int):
+def _descend(kernel: _Kernel, x0: np.ndarray, cap: int):
     """Projected gradient until progress stalls; returns (x, iterations used)."""
     x = x0.copy()
-    f = obj.value(x)
+    f = kernel.value(x)
     step = 0.1
     used = 0
     for _ in range(cap):
         used += 1
-        g = obj.grad(x)
+        g = kernel.gradient(x)
         target = _project_simplex(x - step * g)
         d = target - x
         slope = float(g @ d)
         if np.max(np.abs(d)) < 1e-13 or slope > -1e-16:
             break
         t = 1.0
-        f_new = obj.value(x + d)
+        f_new = kernel.value(x + d)
         while f_new > f + 1e-4 * t * slope and t > 1e-14:
             t *= 0.5
-            f_new = obj.value(x + t * d)
+            f_new = kernel.value(x + t * d)
         if t <= 1e-14:
             break
         x = x + t * d
@@ -161,35 +105,39 @@ def _descend(obj: _Objective, x0: np.ndarray, cap: int):
     return x, used
 
 
-def _stability_eig(hess: np.ndarray) -> float:
-    """Smallest eigenvalue of the Hessian after diagonal congruence scaling.
+def _stability_eig(kernel: _Kernel, x: np.ndarray) -> float:
+    """Smallest eigenvalue of r (H_E + T diag(1/x)) r on the complement of r.
 
-    Occupations near the boundary push parts of the Hessian to 1/x scale,
-    where eigvalsh roundoff (norm * eps) swamps the O(1) soft directions.
-    Scaling by 1/sqrt(|diag|) is a congruence, so eigenvalue signs (and
-    with them the minimum / saddle call) are preserved while the matrix
-    stays O(1).
+    Here r = sqrt(x) and H_E is the energy Hessian in x.  The simplex
+    tangent directions are r*w with w orthogonal to r, so this is a
+    congruence of the tangent-space Hessian (and of the moment Hessian):
+    eigenvalue signs, and with them the minimum / saddle call, are kept.
+    The matrix is r H_E r + T*I, bounded even where occupations underflow
+    the moment chart, and a cyclic relabeling only permutes x, so every
+    member of one orbit gets the same number.
     """
-    h = np.nan_to_num(hess, nan=0.0, posinf=1e300, neginf=-1e300)
-    d = np.sqrt(np.maximum(np.abs(np.diag(h)), 1e-300))
-    return float(np.linalg.eigvalsh(h / np.outer(d, d)).min())
+    r = np.sqrt(x)
+    basis = np.linalg.qr(r[:, None], mode="complete")[0][:, 1:]
+    scaled = r[:, None] * kernel.energy_hessian(x) * r
+    return float(np.linalg.eigvalsh(basis.T @ scaled @ basis).min()) \
+        + kernel.params.temperature
 
 
-def _softmax_polish(params: ModelParams, obj: _Objective, x: np.ndarray, cap: int):
+def _softmax_polish(params: ModelParams, kernel: _Kernel, x: np.ndarray, cap: int):
     """Mean-field self-consistency x <- softmax(-h(x)/T) from a descent endpoint.
 
     h is the energetic part of the x-gradient; the fixed points are exactly
     the interior stationary points of F.  Unlike the Newton polish this
     never leaves x-space, so it resolves the boundary-hugging minima whose
     occupations (~exp(-gap/T)) are far below what the moment chart can
-    represent.  Returns (m, ThermoEval) at the final iterate.
+    represent.  Returns (m, x, ThermoEval) at the final iterate.
     """
     t = params.temperature
     x = np.maximum(x, 1e-300)
     x = x / x.sum()
     logx = np.log(x)
     for _ in range(min(cap, 500)):
-        z = -obj.field(x) / t
+        z = -kernel.field(x) / t
         z -= z.max()
         x_new = np.exp(z)
         x_new /= x_new.sum()
@@ -198,16 +146,17 @@ def _softmax_polish(params: ModelParams, obj: _Objective, x: np.ndarray, cap: in
         x, logx = x_new, logx_new
         if done:
             break
-    return obj.moments(x), free_energy_weights(params, x)
+    return weights_to_moments_array(params.l, x), x, free_energy_weights(params, x)
 
 
-def _polish(params: ModelParams, obj: _Objective, x: np.ndarray, cap: int):
+def _polish(params: ModelParams, x: np.ndarray, cap: int):
     """Newton in moment coordinates from a descent endpoint.
 
-    Returns (m, ThermoEval) at the final iterate, or None when the point
-    is stuck on the boundary.
+    Returns (m, x, ThermoEval) at the final iterate, x being the weights
+    the evaluation used, or None when the point is stuck on the boundary.
     """
-    m = obj.moments(x)
+    m = weights_to_moments_array(params.l, x)
+    x = moments_to_weights_array(params.l, m)
     ev = free_energy(params, m)
     if not ev.interior:
         return None
@@ -227,13 +176,13 @@ def _polish(params: ModelParams, obj: _Objective, x: np.ndarray, cap: int):
             if w.min() > 0.0:
                 ev_new = free_energy(params, m_new)
                 if ev_new.interior and np.max(np.abs(ev_new.gradient)) < ref:
-                    accepted = (m_new, ev_new)
+                    accepted = (m_new, w, ev_new)
                     break
             t *= 0.5
         if accepted is None:
             break
-        m, ev = accepted
-    return m, ev
+        m, x, ev = accepted
+    return m, x, ev
 
 
 def minimize(params: ModelParams, n_random: int = 20, seed: int = 0) -> list[Minimum]:
@@ -258,30 +207,28 @@ def minimize(params: ModelParams, n_random: int = 20, seed: int = 0) -> list[Min
         starts.append(0.999 * vertex + 0.001 * uniform)
     starts.extend(random_weights(l, rng, n_random))
 
-    obj = _Objective(params)
+    kernel = _Kernel(params)
     pg_cap = ITERATION_CAP // 2
     candidates = []
     best = None
     for x0 in starts:
-        x, used = _descend(obj, np.asarray(x0, dtype=float), pg_cap)
+        x, used = _descend(kernel, np.asarray(x0, dtype=float), pg_cap)
         cap_left = ITERATION_CAP - used
         if x.min() >= _CHART_RESOLUTION:
-            polished = _polish(params, obj, x, cap_left)
-            if polished is not None:
-                xw = moments_to_weights_array(l, polished[0])
-                if xw.min() < _CHART_RESOLUTION:
-                    # Newton walked into chart-resolution territory
-                    polished = _softmax_polish(params, obj, xw, cap_left)
+            polished = _polish(params, x, cap_left)
+            if polished is not None and polished[1].min() < _CHART_RESOLUTION:
+                # Newton walked into chart-resolution territory
+                polished = _softmax_polish(params, kernel, polished[1], cap_left)
         else:
-            polished = _softmax_polish(params, obj, x, cap_left)
+            polished = _softmax_polish(params, kernel, x, cap_left)
         if polished is None:
             continue
-        m, ev = polished
+        m, x, ev = polished
         gnorm = np.max(np.abs(ev.gradient)) if ev.gradient is not None else np.inf
         if best is None or ev.free_energy < best[1].free_energy:
             best = (m, ev)
         if gnorm < GRAD_TOL:
-            candidates.append((m, ev))
+            candidates.append((m, x, ev))
 
     if not candidates:
         raise NonConvergence(
@@ -289,12 +236,12 @@ def minimize(params: ModelParams, n_random: int = 20, seed: int = 0) -> list[Min
             best=best,
         )
 
-    candidates.sort(key=lambda c: c[1].free_energy)
+    candidates.sort(key=lambda c: c[2].free_energy)
     kept = []
-    for m, ev in candidates:
+    for m, x, ev in candidates:
         if any(np.max(np.abs(m - m_prev)) < _DEDUP_TOL for m_prev, _, _ in kept):
             continue
-        kept.append((m, ev, _stability_eig(ev.hessian)))
+        kept.append((m, ev, _stability_eig(kernel, x)))
 
     true_minima = [ev.free_energy for _, ev, e in kept if e > _SADDLE_TOL]
     f_best = min(true_minima) if true_minima else kept[0][1].free_energy

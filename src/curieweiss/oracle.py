@@ -16,11 +16,11 @@ import numpy as np
 from scipy.special import gammaln, logsumexp
 
 from .errors import EnsembleTooLarge
-from .order_params import WeightVector, _charts
-from .spectrum import SpinQuantum, spectrum_array
-from .thermo import ModelParams
+from .order_params import WeightVector, weights_to_moments_array
+from .spectrum import SpinQuantum
+from .thermo import ModelParams, _Kernel
 
-MAX_COMPOSITIONS = 10_000_000
+MAX_COMPOSITIONS = 2_000_000
 _CHUNK = 1 << 18
 
 
@@ -45,31 +45,6 @@ class FiniteNEnsemble:
     @property
     def size(self) -> int:
         return self.counts.shape[0]
-
-
-def _phase_vectors(l: SpinQuantum):
-    d = l.n_states
-    ang = 2.0 * math.pi * spectrum_array(l) / d
-    return np.cos(ang), np.sin(ang)
-
-
-def _row_energy(params: ModelParams, x: np.ndarray) -> np.ndarray:
-    """Intensive energy for occupation rows x of shape (M, 2l+1)."""
-    cosv, sinv = _phase_vectors(params.l)
-    p = x @ cosv
-    q = x @ sinv
-    a = p * p + q * q
-    e = -(params.j2 / 2) * a - (params.j4 / 4) * a**2 \
-        - (params.j6 / 6) * a**3 - (params.j8 / 8) * a**4
-    if params.g != 0.0:
-        if params.sector is None:
-            raise ValueError("a nonzero coupling needs a sector")
-        d = params.l.n_states
-        ang = 2.0 * math.pi * float(params.sector) / d
-        e -= params.g * (math.cos(ang) * p + math.sin(ang) * q)
-    if params.h0 != 0.0:
-        e = e + params.h0 * x[:, params.l.twice_l // 2]
-    return e
 
 
 def enumerate_ensemble(
@@ -116,16 +91,15 @@ def enumerate_ensemble(
     log_degeneracy = np.empty(m_total)
     moments = np.empty((m_total, l.twice_l))
     energy = np.empty(m_total) if params is not None else None
-    powers_k = _charts(l.twice_l)[0][:, 1:]  # Vandermonde columns k >= 1
     ln_nfact = gammaln(n_spins + 1)
     for a in range(0, m_total, _CHUNK):
         b = min(a + _CHUNK, m_total)
         block = counts[a:b].astype(float)
         log_degeneracy[a:b] = ln_nfact - gammaln(block + 1.0).sum(axis=1)
         x = block / n_spins
-        moments[a:b] = x @ powers_k
+        moments[a:b] = weights_to_moments_array(l, x)
         if params is not None:
-            energy[a:b] = _row_energy(params, x)
+            energy[a:b] = _Kernel(params).energy(x)
 
     log_weight = None
     if params is not None:
@@ -177,7 +151,7 @@ def raw_config_free_energy(params: ModelParams, n_spins: int) -> float:
     x = np.stack(
         [(cfg == j).sum(axis=1) for j in range(d)], axis=1
     ).astype(float) / n_spins
-    e = _row_energy(params, x)
+    e = _Kernel(params).energy(x)
     t = params.temperature
     return float(-(t / n_spins) * logsumexp(-n_spins * e / t))
 

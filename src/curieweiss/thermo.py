@@ -1,28 +1,35 @@
 """Free-energy functionals of the mean-field magnet, per spin.
 
-The magnet couples pair and quartet (optionally sextet and octet)
-exchange through the alignment invariant
+Every term is a function of the occupation weights x_sigma of the 2l+1
+levels.  With the phases theta_sigma = 2*pi*sigma/(2l+1) the mean phase
+vector is
 
-    A(m) = P(m)**2 + Q(m)**2,
+    (P, Q) = sum_sigma x_sigma * (cos theta_sigma, sin theta_sigma),
 
-where P and Q are the occupation averages of cos(2*pi*sigma/(2l+1)) and
-sin(2*pi*sigma/(2l+1)), both affine in the moments.  The apparatus sector
-s adds the bilinear coupling
+and pair and quartet (optionally sextet and octet) exchange act through
+the alignment A = P**2 + Q**2 via
 
-    I_s(m) = -g * (cos(2*pi*s/(2l+1)) * P(m) + sin(2*pi*s/(2l+1)) * Q(m)),
+    phi(A) = -(J2/2) A - (J4/4) A**2 - (J6/6) A**3 - (J8/8) A**4.
 
-which is minimal (equal to -g) exactly on the vertex m_k = s**k.  The
-free energy per spin is F = E - T*S + I_s with the entropy S = -sum x ln x
-of the occupation weights.  Everything here is exact in the moments:
-energy and coupling are low-order polynomials, entropy pulls back through
-the affine chart x(m), so gradients and Hessians are available in closed
-form at interior points.
+The apparatus sector s adds I_s = -g * sum_sigma x_sigma cos(theta_sigma
+- theta_s), minimal (equal to -g) exactly on the vertex of s, and h0
+shifts the sigma = 0 level.  Both are linear in x and enter as one vector
+b, so the free energy per spin is F = phi(A) + b.x - T*S with the entropy
+S = -sum x ln x.
+
+One private kernel (_Kernel) evaluates F, its x-gradient and the energy
+Hessian for one point or a batch of rows; the minimizer and the finite-N
+oracle call it directly.  The public functions take moments: they invert
+the affine chart x(m) and pull derivatives back by the chain rule,
+W^T g and W^T H W with W = dx/dm, in one place (_evaluate).
 """
 
 from __future__ import annotations
 
+import math
 from dataclasses import dataclass
 from fractions import Fraction
+from functools import lru_cache
 
 import numpy as np
 
@@ -33,7 +40,7 @@ from .order_params import (
     _charts,
     moments_to_weights_array,
 )
-from .spectrum import SpinQuantum, spectrum, trig_poly
+from .spectrum import SpinQuantum, spectrum, spectrum_array
 
 # Occupations below this count as exactly empty: their entropy share is the
 # 0*ln(0) = 0 limit and they put the point on the simplex boundary.
@@ -91,19 +98,129 @@ class ThermoEval:
     interior: bool
 
 
-def _values(l: SpinQuantum, m) -> np.ndarray:
+# ---------------------------------------------------------------------------
+# the weight-space kernel
+
+
+@lru_cache(maxsize=None)
+def _phases(twice_l: int) -> np.ndarray:
+    """Columns cos(theta_sigma) and sin(theta_sigma) over the spectrum."""
+    l = SpinQuantum(twice_l)
+    ang = 2.0 * math.pi * spectrum_array(l) / l.n_states
+    table = np.column_stack([np.cos(ang), np.sin(ang)])
+    table.setflags(write=False)
+    return table
+
+
+def _mean_phase(table: np.ndarray, x: np.ndarray):
+    """(P, Q) on the last axis and A = P**2 + Q**2, per row of x."""
+    pq = x @ table
+    return pq, (pq * pq).sum(axis=-1)
+
+
+def _entropy(x: np.ndarray):
+    """-sum x ln x per row; empty occupations give the 0 ln 0 = 0 limit."""
+    return -(x * np.log(np.maximum(x, _EMPTY))).sum(axis=-1)
+
+
+class _Kernel:
+    """F = phi(A) + b.x - T*S at weights x of shape (2l+1,) or (M, 2l+1)."""
+
+    def __init__(self, params: ModelParams):
+        l = params.l
+        self.params = params
+        self.mid = l.twice_l // 2
+        self.table = _phases(l.twice_l)
+        self.b = np.zeros(l.n_states)
+        if params.sector is not None:
+            # cos(theta_sigma - theta_s), with theta_s read off the table
+            home = self.table[int(float(params.sector) + l.twice_l / 2)]
+            self.b -= params.g * (self.table @ home)
+        self.b[self.mid] += params.h0
+
+    def phi(self, a):
+        pr = self.params
+        return -(pr.j2 / 2) * a - (pr.j4 / 4) * a**2 \
+            - (pr.j6 / 6) * a**3 - (pr.j8 / 8) * a**4
+
+    def energy(self, x):
+        """phi(A) + b.x: exchange, sector coupling and level shift, per row."""
+        return self.phi(_mean_phase(self.table, x)[1]) + x @ self.b
+
+    def value(self, x):
+        return self.energy(x) - self.params.temperature * _entropy(x)
+
+    def _slopes(self, x):
+        """dA/dx, phi'(A) and phi''(A) at one point."""
+        pq, a = _mean_phase(self.table, x)
+        a = float(a)
+        pr = self.params
+        return (
+            self.table @ (2.0 * pq),
+            -0.5 * (pr.j2 + pr.j4 * a + pr.j6 * a**2 + pr.j8 * a**3),
+            -0.5 * (pr.j4 + 2 * pr.j6 * a + 3 * pr.j8 * a**2),
+        )
+
+    def field(self, x):
+        """h = dE/dx = phi'(A) dA/dx + b at one point."""
+        da, d1, _ = self._slopes(x)
+        return d1 * da + self.b
+
+    def gradient(self, x):
+        """dF/dx at one point; empty occupations are read at _EMPTY."""
+        return self.field(x) \
+            + self.params.temperature * (np.log(np.maximum(x, _EMPTY)) + 1.0)
+
+    def energy_hessian(self, x):
+        """d2E/dx2 = 2 phi'(A) (c c^T + s s^T) + phi''(A) a a^T at one point."""
+        da, d1, d2 = self._slopes(x)
+        return 2.0 * d1 * (self.table @ self.table.T) + d2 * np.outer(da, da)
+
+
+def _evaluate(params: ModelParams, x: np.ndarray) -> ThermoEval:
+    """ThermoEval at weights x, derivatives pulled back to the moments."""
+    kernel = _Kernel(params)
+    a = float(_mean_phase(kernel.table, x)[1])
+    phi = kernel.phi(a)
+    linear = float(x @ kernel.b)
+    shift = params.h0 * float(x[kernel.mid])
+    s_mix = float(_entropy(x))
+    t = params.temperature
+
+    interior = bool(x.min() > _EMPTY)
+    grad = hess = None
+    if interior:
+        w = _charts(params.l.twice_l)[1][:, 1:]          # d x_sigma / d m_k
+        grad = kernel.gradient(x) @ w
+        hess = w.T @ ((kernel.energy_hessian(x) + np.diag(t / x)) @ w)
+        hess = 0.5 * (hess + hess.T)
+
+    return ThermoEval(
+        alignment=a,
+        energy=phi + shift,
+        entropy=s_mix,
+        coupling=linear - shift,
+        free_energy=phi + linear - t * s_mix,
+        gradient=grad,
+        hessian=hess,
+        interior=interior,
+    )
+
+
+# ---------------------------------------------------------------------------
+# the public moment view
+
+
+def _feasible_weights(l: SpinQuantum, m) -> np.ndarray:
+    """Weights of a moment vector, clamped at 0; raises outside the simplex."""
     if isinstance(m, MomentVector):
         if m.l != l:
             raise ValueError(f"moment vector is for l = {m.l.spin}, params for {l.spin}")
-        return m.values
+        m = m.values
     m = np.asarray(m, dtype=float)
     if m.shape != (l.twice_l,):
         raise ValueError(f"expected {l.twice_l} moments, got shape {m.shape}")
-    return m
-
-
-def _feasible_weights(l: SpinQuantum, mv: np.ndarray) -> np.ndarray:
-    x = moments_to_weights_array(l, mv)
+    x = moments_to_weights_array(l, m)
     if np.any(x < -FEASIBILITY_TOL):
         sigmas = spectrum(l)
         bad = np.nonzero(x < -FEASIBILITY_TOL)[0]
@@ -115,46 +232,24 @@ def _feasible_weights(l: SpinQuantum, mv: np.ndarray) -> np.ndarray:
 
 def alignment(m: MomentVector) -> float:
     """The squared mean phase vector A = P**2 + Q**2, in [0, 1]."""
-    mv = _values(m.l, m)
-    _feasible_weights(m.l, mv)
-    p, q = trig_poly(m.l).phase_parts(mv)
-    return float(p * p + q * q)
-
-
-def _exchange(params: ModelParams, a):
-    return -(params.j2 / 2) * a - (params.j4 / 4) * a**2 \
-        - (params.j6 / 6) * a**3 - (params.j8 / 8) * a**4
+    return float(_mean_phase(_phases(m.l.twice_l), _feasible_weights(m.l, m))[1])
 
 
 def energy(params: ModelParams, m) -> float:
     """Exchange energy per spin, plus the h0 level shift when set."""
-    mv = _values(params.l, m)
-    x = _feasible_weights(params.l, mv)
-    p, q = trig_poly(params.l).phase_parts(mv)
-    e = _exchange(params, p * p + q * q)
-    if params.h0 != 0.0:
-        e += params.h0 * x[params.l.twice_l // 2]
-    return float(e)
+    return free_energy(params, m).energy
 
 
 def entropy(m: MomentVector) -> float:
     """Mixing entropy -sum x ln x of the occupation weights."""
-    mv = _values(m.l, m)
-    x = _feasible_weights(m.l, mv)
-    live = x[x > _EMPTY]
-    return float(-(live * np.log(live)).sum())
+    return float(_entropy(_feasible_weights(m.l, m)))
 
 
 def coupling(params: ModelParams, m) -> float:
     """Measurement coupling I_s; requires params.sector to be set."""
     if params.sector is None:
         raise ValueError("coupling requires a sector")
-    mv = _values(params.l, m)
-    _feasible_weights(params.l, mv)
-    poly = trig_poly(params.l)
-    p, q = poly.phase_parts(mv)
-    s = params.sector
-    return float(-params.g * (poly.cos_at(s) * p + poly.sin_at(s) * q))
+    return free_energy(params, m).coupling
 
 
 def coupling_two_outcome(g: float, s: int, m1: float) -> float:
@@ -177,10 +272,7 @@ def free_energy(params: ModelParams, m) -> ThermoEval:
     On the simplex boundary (some weight exactly zero) the value is still
     returned but gradient and hessian are None.
     """
-    l = params.l
-    mv = _values(l, m)
-    x = _feasible_weights(l, mv)
-    return _eval_at(params, x, mv)
+    return _evaluate(params, _feasible_weights(params.l, m))
 
 
 def free_energy_weights(params: ModelParams, weights) -> ThermoEval:
@@ -200,67 +292,7 @@ def free_energy_weights(params: ModelParams, weights) -> ThermoEval:
             "weights must be nonnegative and sum to 1", []
         )
     x = np.where(x < 0.0, 0.0, x)
-    x = x / x.sum()
-    powers, _ = _charts(l.twice_l)
-    mv = x @ powers[:, 1:]
-    return _eval_at(params, x, mv)
-
-
-def _eval_at(params: ModelParams, x: np.ndarray, mv: np.ndarray) -> ThermoEval:
-    l = params.l
-    poly = trig_poly(l)
-    c = poly.cos_coeffs[1:]
-    d = poly.sin_coeffs[1:]
-    p = poly.cos_coeffs[0] + c @ mv
-    q = poly.sin_coeffs[0] + d @ mv
-    a = p * p + q * q
-
-    e = _exchange(params, a)
-    zero_idx = l.twice_l // 2 if params.h0 != 0.0 else None
-    if zero_idx is not None:
-        e += params.h0 * x[zero_idx]
-
-    live = x > _EMPTY
-    s_mix = float(-(x[live] * np.log(x[live])).sum())
-
-    if params.sector is not None:
-        cos_s = poly.cos_at(params.sector)
-        sin_s = poly.sin_at(params.sector)
-        i_s = -params.g * (cos_s * p + sin_s * q)
-    else:
-        i_s = 0.0
-
-    t = params.temperature
-    f = float(e) - t * s_mix + float(i_s)
-
-    interior = bool(np.all(live))
-    grad = hess = None
-    if interior:
-        _, from_full = _charts(l.twice_l)
-        w = from_full[:, 1:]          # d x_sigma / d m_k
-        grad_a = 2.0 * (p * c + q * d)
-        hess_a = 2.0 * (np.outer(c, c) + np.outer(d, d))
-        e1 = -0.5 * (params.j2 + params.j4 * a + params.j6 * a**2 + params.j8 * a**3)
-        e2 = -0.5 * (params.j4 + 2 * params.j6 * a + 3 * params.j8 * a**2)
-        grad = e1 * grad_a + t * ((np.log(x) + 1.0) @ w)
-        hess = e2 * np.outer(grad_a, grad_a) + e1 * hess_a \
-            + t * (w.T @ (w / x[:, None]))
-        if zero_idx is not None:
-            grad = grad + params.h0 * w[zero_idx, :]
-        if params.sector is not None:
-            grad = grad - params.g * (cos_s * c + sin_s * d)
-        hess = 0.5 * (hess + hess.T)
-
-    return ThermoEval(
-        alignment=float(a),
-        energy=float(e),
-        entropy=s_mix,
-        coupling=float(i_s),
-        free_energy=f,
-        gradient=grad,
-        hessian=hess,
-        interior=interior,
-    )
+    return _evaluate(params, x / x.sum())
 
 
 def free_energy_batch(params: ModelParams, m: np.ndarray):
@@ -269,25 +301,7 @@ def free_energy_batch(params: ModelParams, m: np.ndarray):
     m has shape (npts, 2l).  Returns (f, feasible); f is NaN where the
     point is infeasible.
     """
-    l = params.l
-    m = np.asarray(m, dtype=float)
-    x = moments_to_weights_array(l, m)
+    x = moments_to_weights_array(params.l, np.asarray(m, dtype=float))
     feasible = x.min(axis=-1) >= -FEASIBILITY_TOL
-    x = np.clip(x, 0.0, None)
-
-    poly = trig_poly(l)
-    p, q = poly.phase_parts(m)
-    a = p * p + q * q
-    e = _exchange(params, a)
-    if params.h0 != 0.0:
-        e = e + params.h0 * x[..., l.twice_l // 2]
-
-    safe = np.where(x > _EMPTY, x, 1.0)
-    s_mix = -(safe * np.log(safe)).sum(axis=-1)
-
-    f = e - params.temperature * s_mix
-    if params.sector is not None:
-        cos_s = poly.cos_at(params.sector)
-        sin_s = poly.sin_at(params.sector)
-        f = f - params.g * (cos_s * p + sin_s * q)
+    f = _Kernel(params).value(np.clip(x, 0.0, None))
     return np.where(feasible, f, np.nan), feasible

@@ -1,6 +1,7 @@
 """Command-line interface: reports, determinism, exit codes, precedence."""
 
 import contextlib
+import hashlib
 import io
 import json
 import math
@@ -184,6 +185,35 @@ def test_landscape_deterministic():
     _, a, _ = run(["landscape", "--resolution", "31"])
     _, b, _ = run(["landscape", "--resolution", "31"])
     assert a == b
+
+
+@pytest.mark.parametrize(
+    "args, digest",
+    [
+        (["--l", "4", "--temp", "0.2", "--g", "0.1", "--sector", "1"],
+         "0ec267a4cd896432585adc984962c75b3a04182c6371a1716214ef1962a53a1c"),
+        (["--l", "2", "--temp", "0.2", "--j2", "0.3", "--h0", "0.1"],
+         "bcb0aec32d961dbcb9c7e4a324022b4c3dbdba403621b3492334651739b05b65"),
+    ],
+)
+def test_landscape_bytes_pinned(args, digest):
+    # the whole CSV text, banner to last cell, of two small grids that
+    # exercise the sector coupling and the h0 field
+    rc, out, _ = run(["landscape", "--resolution", "41", *args])
+    assert rc == cli.EXIT_OK
+    assert hashlib.sha256(out.encode("utf-8")).hexdigest() == digest
+
+
+def test_landscape_header_names_axes():
+    args = ["landscape", "--l", "4", "--resolution", "5", "--axis1", "2",
+            "--axis2", "4"]
+    rc, out, _ = run(args)
+    assert rc == cli.EXIT_OK
+    header, body = parse_landscape(out)
+    assert "# axes: m2 (rows), m4 (columns); other moments at paramagnet" in header
+    assert body[0] == "m2,m4,feasible,F"
+    rep = run_json(args + ["--format", "json"])
+    assert rep["results"]["columns"] == ["m2", "m4", "feasible", "F"]
 
 
 def test_profile_mode():

@@ -27,6 +27,7 @@ from curieweiss import (
     permutation_map_m,
     spinodal_temperature,
 )
+from curieweiss.equilibrium import _profile_curvature, _profile_slope, _profile_value
 
 L1 = SpinQuantum(2)
 
@@ -370,3 +371,56 @@ def test_minimize_reports_stationarity():
         if ev.interior:
             assert np.linalg.norm(ev.gradient) < 1e-6
         assert abs(ev.free_energy - r.f_value) < 1e-10
+
+
+def test_minimize_orbit_members_share_stability():
+    # the five broken minima at 2l = 4 form one orbit: same F and the same
+    # stability number; the bare paramagnet reports exactly T
+    l = SpinQuantum(4)
+    pr = ModelParams(l, temperature=0.2, j4=1.0)
+    res = minimize(pr)
+    broken = [r for r in res if abs(r.f_value + 0.2672763343) < 1e-9]
+    assert len(broken) == 5
+    for r in broken:
+        assert min(
+            np.max(np.abs(r.m_star.values - mv.values)) for mv in broken[0].orbit
+        ) < 1e-7
+    fs = [r.f_value for r in broken]
+    eigs = [r.hessian_eigen_min for r in broken]
+    assert max(fs) - min(fs) < 1e-12
+    assert max(eigs) - min(eigs) < 1e-9
+    assert abs(eigs[0] - 0.0452094542) < 1e-9
+    para = [r for r in res if np.allclose(
+        r.m_star.values, paramagnet_moments(l).values, atol=1e-7)]
+    assert len(para) == 1
+    assert abs(para[0].hessian_eigen_min - 0.2) < 1e-12
+
+
+@pytest.mark.parametrize(
+    "couplings",
+    [
+        {"j2": 0.6},
+        {"j4": 1.0},
+        {"j6": 1.4},
+        {"j8": 1.8},
+        {"j2": 0.2, "j4": 1.0, "j6": 0.3, "j8": 0.1, "g": 0.15},
+    ],
+)
+def test_profile_closed_forms_match_free_energy(couplings):
+    """The m1 = 0 closed forms against the shared kernel.
+
+    m = (0, m2) is the weight vector x = (m2/2, 1 - m2, m2/2); the profile
+    value, slope and curvature are F, dF/dm2 and d2F/dm2^2 there.
+    """
+    t = 0.3
+    j = [couplings.get(k, 0.0) for k in ("j2", "j4", "j6", "j8")]
+    g = couplings.get("g", 0.0)
+    pr = ModelParams(L1, temperature=t, sector=Fraction(0) if g else None,
+                     **couplings)
+    for m2 in (1e-6, 0.01, 0.2, 0.5, 2.0 / 3.0, 0.9):
+        ev = free_energy(pr, MomentVector(L1, (0.0, m2)))
+        slope = _profile_slope(m2, t, *j, g)
+        curvature = _profile_curvature(m2, t, *j)
+        assert abs(_profile_value(m2, t, *j, g) - ev.free_energy) < 1e-12
+        assert abs(slope - ev.gradient[1]) < 1e-10 * max(1.0, abs(slope))
+        assert abs(curvature - ev.hessian[1, 1]) < 1e-10 * max(1.0, abs(curvature))

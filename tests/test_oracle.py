@@ -91,6 +91,10 @@ def test_size_guard():
     with pytest.raises(EnsembleTooLarge):
         enumerate_ensemble(SpinQuantum(5), 100)
     assert math.comb(105, 5) > MAX_COMPOSITIONS
+    # the documented cap is 2e6 rows: 9.4e6 compositions are refused
+    assert MAX_COMPOSITIONS == 2_000_000
+    with pytest.raises(EnsembleTooLarge):
+        enumerate_ensemble(SpinQuantum(6), 40)
 
 
 def test_needs_params_for_thermodynamics():
