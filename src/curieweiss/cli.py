@@ -14,6 +14,7 @@ from __future__ import annotations
 
 import argparse
 import dataclasses
+import functools
 import hashlib
 import json
 import sys
@@ -23,6 +24,7 @@ import numpy as np
 
 from . import __version__
 from .equilibrium import (
+    GRAD_TOL,
     critical_coupling,
     critical_temperature,
     minimize,
@@ -335,28 +337,24 @@ def cmd_minima(cfg: dict) -> tuple[str, int]:
         ]
     }
     residuals = {
-        "gradient_tolerance": 1e-8,
+        "gradient_tolerance": GRAD_TOL,
         "n_found": len(found),
         "n_global": sum(1 for mini in found if mini.classification == "global"),
     }
     return _json_text(cfg, results, residuals, "ok"), EXIT_OK
 
 
-def _scan_transition(params: ModelParams, seed: int, want_global: bool):
+def _scan_transition(params: ModelParams, found_at, want_global: bool):
     """Minimize-based temperature bisection for magnets without the l=1
-    closed-form profile.  Returns (T, residuals dict)."""
+    closed-form profile.  found_at(T) is minimize's list at temperature T,
+    empty when it did not converge.  Returns (T, residuals dict)."""
     pm = paramagnet_moments(params.l).values
     scale = abs(params.j2) + abs(params.j4) + abs(params.j6) + abs(params.j8)
     if scale == 0.0:
         raise NoSolutionInBracket("all exchange couplings vanish")
 
     def broken_at(t: float) -> bool:
-        trial = dataclasses.replace(params, temperature=t)
-        try:
-            found = minimize(trial, n_random=6, seed=seed)
-        except NonConvergence:
-            return False
-        for mini in found:
+        for mini in found_at(t):
             if mini.classification == "saddle-rejected":
                 continue
             if want_global and mini.classification != "global":
@@ -429,9 +427,18 @@ def cmd_critical(cfg: dict) -> tuple[str, int]:
             failures += 1
     else:
         seed = int(cfg["seed"])
+
+        @functools.lru_cache(maxsize=None)
+        def found_at(t: float):
+            try:
+                return minimize(dataclasses.replace(params, temperature=t),
+                                n_random=6, seed=seed)
+            except NonConvergence:
+                return []
+
         for key, want_global in (("T_ms", False), ("T_c", True)):
             try:
-                value, diag = _scan_transition(params, seed, want_global)
+                value, diag = _scan_transition(params, found_at, want_global)
                 results[key] = value
                 residuals[key] = diag
             except (CurieWeissError, ValueError) as exc:
@@ -487,9 +494,10 @@ def cmd_oracle(cfg: dict) -> tuple[str, int]:
     reference = None
     try:
         found = minimize(params, seed=int(cfg["seed"]))
+        # orbit members are degenerate in F; pick one by a fixed rule
         best = min(
             (m for m in found if m.classification == "global"),
-            key=lambda m: m.f_value,
+            key=lambda m: tuple(m.m_star.values),
         )
         reference = {
             "free_energy": best.f_value,

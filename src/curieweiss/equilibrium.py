@@ -1,11 +1,15 @@
 """Equilibrium states: minimization, mean-field profile, critical points.
 
-Minimization runs over the occupation simplex (projected gradient with a
-backtracking line search, then Newton polish in moment coordinates) from
-a deterministic set of starts.  The three-state magnet additionally gets
-closed-form machinery along its symmetric m1 = 0 profile: the mean-field
-root, the spinodal and critical temperatures, and the coupling threshold
-above which nothing blocks registration.
+Minimization runs over the occupation simplex from a deterministic set
+of starts, each along one descent path in the log weights u (x =
+softmax(u)) toward the mean-field condition x ~ exp(-h(x)/T): Newton
+steps where F is locally convex, mean-field steps u <- -h/T elsewhere.
+Stationary points are deduplicated by their weights, not their moments,
+and saddles are reported only when a start lands on one.  The
+three-state magnet additionally gets closed-form machinery along its
+symmetric m1 = 0 profile: the mean-field root, the spinodal and critical
+temperatures, and the coupling threshold above which nothing blocks
+registration.
 """
 
 from __future__ import annotations
@@ -20,21 +24,17 @@ from .errors import NoSolutionInBracket, NonConvergence
 from .order_params import (
     MomentVector,
     moment_orbit,
-    moments_to_weights_array,
     paramagnet_moments,
     random_weights,
     weights_to_moments_array,
 )
-from .thermo import ModelParams, _Kernel, free_energy, free_energy_weights
+from .thermo import ModelParams, _Kernel, free_energy_weights
 
 GRAD_TOL = 1e-8
 _DEDUP_TOL = 1e-6
 _DEGENERACY_TOL = 1e-8
 _SADDLE_TOL = -1e-8
 ITERATION_CAP = 10_000
-# occupations below this are distorted by cancellation in the moment chart,
-# so such points are polished by self-consistency in x instead of Newton in m
-_CHART_RESOLUTION = 1e-8
 
 
 @dataclass(frozen=True, eq=False)
@@ -69,42 +69,6 @@ class CriticalPoint:
 # free minimization over the simplex
 
 
-def _project_simplex(v: np.ndarray) -> np.ndarray:
-    u = np.sort(v)[::-1]
-    cum = np.cumsum(u) - 1.0
-    idx = np.arange(1, v.size + 1)
-    rho = np.nonzero(u * idx > cum)[0][-1]
-    theta = cum[rho] / (rho + 1.0)
-    return np.maximum(v - theta, 0.0)
-
-
-def _descend(kernel: _Kernel, x0: np.ndarray, cap: int):
-    """Projected gradient until progress stalls; returns (x, iterations used)."""
-    x = x0.copy()
-    f = kernel.value(x)
-    step = 0.1
-    used = 0
-    for _ in range(cap):
-        used += 1
-        g = kernel.gradient(x)
-        target = _project_simplex(x - step * g)
-        d = target - x
-        slope = float(g @ d)
-        if np.max(np.abs(d)) < 1e-13 or slope > -1e-16:
-            break
-        t = 1.0
-        f_new = kernel.value(x + d)
-        while f_new > f + 1e-4 * t * slope and t > 1e-14:
-            t *= 0.5
-            f_new = kernel.value(x + t * d)
-        if t <= 1e-14:
-            break
-        x = x + t * d
-        f = f_new
-        step = min(step * 1.3, 1e3) if t == 1.0 else step * max(t, 0.1)
-    return x, used
-
-
 def _stability_eig(kernel: _Kernel, x: np.ndarray) -> float:
     """Smallest eigenvalue of r (H_E + T diag(1/x)) r on the complement of r.
 
@@ -123,78 +87,77 @@ def _stability_eig(kernel: _Kernel, x: np.ndarray) -> float:
         + kernel.params.temperature
 
 
-def _softmax_polish(params: ModelParams, kernel: _Kernel, x: np.ndarray, cap: int):
-    """Mean-field self-consistency x <- softmax(-h(x)/T) from a descent endpoint.
+def _softmax(u: np.ndarray):
+    u = u - u.max()  # same x; keeps u from drifting into roundoff
+    z = np.exp(u)
+    return u, z / z.sum()
 
-    h is the energetic part of the x-gradient; the fixed points are exactly
-    the interior stationary points of F.  Unlike the Newton polish this
-    never leaves x-space, so it resolves the boundary-hugging minima whose
-    occupations (~exp(-gap/T)) are far below what the moment chart can
-    represent.  Returns (m, x, ThermoEval) at the final iterate.
+
+def _residual(kernel: _Kernel, u: np.ndarray, x: np.ndarray) -> np.ndarray:
+    """h(x)/T + u less its x-weighted mean; zero exactly where x is stationary."""
+    r = kernel.field(x) / kernel.params.temperature + u
+    return r - x @ r
+
+
+def _settle(kernel: _Kernel, u: np.ndarray) -> np.ndarray:
+    """Descend F from log weights u (x = softmax(u)); returns the final x.
+
+    Where the tangent Hessian is positive definite (_stability_eig > 0)
+    the step is Newton's: (I + H_E diag(x)/T) du = -res + c 1 with
+    x.du = 0.  Elsewhere it is the mean-field step du = -res, i.e.
+    u <- -h/T, whose slope -T Var_x(res) is never positive.  Steps
+    backtrack on F (Armijo).  Near convergence F moves by less than its
+    roundoff, so a Newton step that halves max|res| is also taken while F
+    does not rise beyond that.  Carrying u rather than x keeps
+    occupations far below the moment chart's resolution exact.
     """
-    t = params.temperature
-    x = np.maximum(x, 1e-300)
-    x = x / x.sum()
-    logx = np.log(x)
-    for _ in range(min(cap, 500)):
-        z = -kernel.field(x) / t
-        z -= z.max()
-        x_new = np.exp(z)
-        x_new /= x_new.sum()
-        logx_new = np.log(np.maximum(x_new, 1e-300))
-        done = np.max(np.abs(logx_new - logx)) < 1e-13
-        x, logx = x_new, logx_new
-        if done:
+    t = kernel.params.temperature
+    n = u.size
+    u, x = _softmax(u)
+    f = kernel.value(x)
+    res = _residual(kernel, u, x)
+    for _ in range(ITERATION_CAP):
+        size = np.max(np.abs(res))
+        if size < 1e-13:
             break
-    return weights_to_moments_array(params.l, x), x, free_energy_weights(params, x)
-
-
-def _polish(params: ModelParams, x: np.ndarray, cap: int):
-    """Newton in moment coordinates from a descent endpoint.
-
-    Returns (m, x, ThermoEval) at the final iterate, x being the weights
-    the evaluation used, or None when the point is stuck on the boundary.
-    """
-    m = weights_to_moments_array(params.l, x)
-    x = moments_to_weights_array(params.l, m)
-    ev = free_energy(params, m)
-    if not ev.interior:
-        return None
-    for _ in range(min(cap, 80)):
-        if np.max(np.abs(ev.gradient)) < 1e-11:
+        newton = _stability_eig(kernel, x) > 0.0
+        du = -res
+        if newton:
+            kkt = np.block([[np.eye(n) + kernel.energy_hessian(x) * (x / t),
+                             -np.ones((n, 1))], [x[None, :], np.zeros((1, 1))]])
+            du = np.linalg.solve(kkt, np.append(-res, 0.0))[:n]
+        slope = t * float(x @ (res * du))
+        step = 1.0
+        while step > 1e-14:
+            u_new, x_new = _softmax(u + step * du)
+            f_new = kernel.value(x_new)
+            res_new = _residual(kernel, u_new, x_new)
+            if f_new < f + 1e-4 * step * slope or (
+                newton and f_new <= f + 1e-14 * max(1.0, abs(f))
+                and np.max(np.abs(res_new)) <= 0.5 * size
+            ):
+                break
+            step *= 0.5
+        else:
             break
-        try:
-            delta = np.linalg.solve(ev.hessian, -ev.gradient)
-        except np.linalg.LinAlgError:
-            delta = np.linalg.lstsq(ev.hessian, -ev.gradient, rcond=None)[0]
-        ref = np.max(np.abs(ev.gradient))
-        t = 1.0
-        accepted = None
-        while t > 1e-12:
-            m_new = m + t * delta
-            w = moments_to_weights_array(params.l, m_new)
-            if w.min() > 0.0:
-                ev_new = free_energy(params, m_new)
-                if ev_new.interior and np.max(np.abs(ev_new.gradient)) < ref:
-                    accepted = (m_new, w, ev_new)
-                    break
-            t *= 0.5
-        if accepted is None:
-            break
-        m, x, ev = accepted
-    return m, x, ev
+        u, x, f, res = u_new, x_new, f_new, res_new
+    return x
 
 
 def minimize(params: ModelParams, n_random: int = 20, seed: int = 0) -> list[Minimum]:
     """Multi-start minimization of F over the occupation simplex.
 
     Starts: the paramagnet, every vertex pulled 1e-3 into the interior,
-    and ``n_random`` uniform simplex samples.  Converged points (interior
-    gradient below GRAD_TOL) are deduplicated within 1e-6 in max norm and
+    and ``n_random`` uniform simplex samples.  Each start descends along
+    one path (_settle: Newton where F is locally convex, mean-field
+    steps elsewhere).  Endpoints whose moment gradient is below GRAD_TOL
+    are deduplicated within 1e-6 in the max norm of their weights and
     returned sorted by free energy; points degenerate with the lowest are
-    labeled "global", the rest "local", and stationary points with a
-    negative Hessian direction "saddle-rejected".  Raises NonConvergence
-    with the best iterate when no start converges.
+    labeled "global", the rest "local".  The descent leaves saddles, so a
+    stationary point with a negative Hessian direction is reported
+    ("saddle-rejected") only when a start lands on one, e.g. the
+    symmetric paramagnet start.  Raises NonConvergence with the best
+    iterate when no start converges.
     """
     l = params.l
     n = l.n_states
@@ -208,27 +171,15 @@ def minimize(params: ModelParams, n_random: int = 20, seed: int = 0) -> list[Min
     starts.extend(random_weights(l, rng, n_random))
 
     kernel = _Kernel(params)
-    pg_cap = ITERATION_CAP // 2
     candidates = []
     best = None
     for x0 in starts:
-        x, used = _descend(kernel, np.asarray(x0, dtype=float), pg_cap)
-        cap_left = ITERATION_CAP - used
-        if x.min() >= _CHART_RESOLUTION:
-            polished = _polish(params, x, cap_left)
-            if polished is not None and polished[1].min() < _CHART_RESOLUTION:
-                # Newton walked into chart-resolution territory
-                polished = _softmax_polish(params, kernel, polished[1], cap_left)
-        else:
-            polished = _softmax_polish(params, kernel, x, cap_left)
-        if polished is None:
-            continue
-        m, x, ev = polished
-        gnorm = np.max(np.abs(ev.gradient)) if ev.gradient is not None else np.inf
+        x = _settle(kernel, np.log(x0))
+        ev = free_energy_weights(params, x)
         if best is None or ev.free_energy < best[1].free_energy:
-            best = (m, ev)
-        if gnorm < GRAD_TOL:
-            candidates.append((m, x, ev))
+            best = (weights_to_moments_array(l, x), ev)
+        if ev.gradient is not None and np.max(np.abs(ev.gradient)) < GRAD_TOL:
+            candidates.append((x, ev))
 
     if not candidates:
         raise NonConvergence(
@@ -236,24 +187,23 @@ def minimize(params: ModelParams, n_random: int = 20, seed: int = 0) -> list[Min
             best=best,
         )
 
-    candidates.sort(key=lambda c: c[2].free_energy)
+    candidates.sort(key=lambda c: c[1].free_energy)
     kept = []
-    for m, x, ev in candidates:
-        if any(np.max(np.abs(m - m_prev)) < _DEDUP_TOL for m_prev, _, _ in kept):
-            continue
-        kept.append((m, ev, _stability_eig(kernel, x)))
+    for x, ev in candidates:
+        if all(np.max(np.abs(x - x_prev)) >= _DEDUP_TOL for x_prev, _, _ in kept):
+            kept.append((x, ev, _stability_eig(kernel, x)))
 
     true_minima = [ev.free_energy for _, ev, e in kept if e > _SADDLE_TOL]
     f_best = min(true_minima) if true_minima else kept[0][1].free_energy
     out = []
-    for m, ev, eig_min in kept:
+    for x, ev, eig_min in kept:
         if eig_min < _SADDLE_TOL:
             label = "saddle-rejected"
         elif ev.free_energy <= f_best + _DEGENERACY_TOL:
             label = "global"
         else:
             label = "local"
-        mv = MomentVector(l, m)
+        mv = MomentVector(l, weights_to_moments_array(l, x))
         out.append(
             Minimum(
                 m_star=mv,

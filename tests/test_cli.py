@@ -1,6 +1,7 @@
 """Command-line interface: reports, determinism, exit codes, precedence."""
 
 import contextlib
+import dataclasses
 import hashlib
 import io
 import json
@@ -8,6 +9,7 @@ import math
 
 import numpy as np
 import pytest
+from scipy.optimize import minimize_scalar
 
 from curieweiss import cli
 
@@ -84,6 +86,32 @@ def test_critical_other_spins_partial():
     assert res["g_c"] is None
     assert res["T_ms"] > res["T_c"] > 0.0
     assert rep["residuals"]["T_ms"]["scan_based"] == 1.0
+
+
+def test_critical_two_state_spinodal_closed_form():
+    # 2l = 1: P = 0 and Q = q, so F(q) = -(J4/4) q**4 - T S(q) and a broken
+    # stationary point exists while T <= J4 q**3 / atanh(q) for some q
+    peak = minimize_scalar(lambda q: -q**3 / math.atanh(q), bounds=(0.1, 0.99),
+                           method="bounded", options={"xatol": 1e-12})
+    t_ms = -peak.fun
+    assert abs(t_ms - 0.4957863024) < 1e-9
+    rep = run_json(["critical", "--l", "1", "--j4", "1"])
+    assert abs(rep["results"]["T_ms"] - t_ms) < 1e-5
+    assert rep["residuals"]["T_ms"]["bisection_width"] < 1e-5
+
+
+def test_critical_minimizes_each_scan_temperature_once(monkeypatch):
+    temps = []
+    real = cli.minimize
+
+    def counting(params, **kwargs):
+        temps.append(params.temperature)
+        return real(params, **kwargs)
+
+    monkeypatch.setattr(cli, "minimize", counting)
+    run_json(["critical", "--l", "1", "--j4", "1"])
+    assert len(temps) == len(set(temps))
+    assert len(temps) <= 44
 
 
 # --- 3. minima ---
@@ -250,6 +278,28 @@ def test_oracle_report():
     assert rep["residuals"]["gap_rate_constant"] < 1.0
     gaps = [abs(r["gap_to_limit"]) for r in rows]
     assert gaps[0] > gaps[2]
+
+
+def test_oracle_reference_fixed_among_degenerate_globals(monkeypatch):
+    # the four global minima form one orbit at one F; nudging their F by
+    # +-1e-15 (as a refactor's last digits may) must not move the reference
+    real = cli.minimize
+    reported = []
+    for sign in (1.0, -1.0):
+        def nudged(params, **kwargs):
+            out = real(params, **kwargs)
+            assert sum(m.classification == "global" for m in out) == 4
+            return [
+                dataclasses.replace(m, f_value=m.f_value + sign * (-1) ** i * 1e-15)
+                if m.classification == "global" else m
+                for i, m in enumerate(out)
+            ]
+
+        monkeypatch.setattr(cli, "minimize", nudged)
+        rep = run_json(["oracle", "--l", "3", "--temp", "0.15", "--j2", "0.2",
+                        "--j4", "1", "--n-list", "2"])
+        reported.append(rep["results"]["reference"]["moments"])
+    assert reported[0] == reported[1]
 
 
 def test_oracle_partial_and_failed():

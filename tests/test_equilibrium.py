@@ -396,6 +396,50 @@ def test_minimize_orbit_members_share_stability():
     assert abs(para[0].hessian_eigen_min - 0.2) < 1e-12
 
 
+def test_minimize_dedups_in_weights_past_chart_resolution():
+    # at 2l = 12 the monomial chart's roundoff spreads one point's moments
+    # over more than the dedup tolerance; its weights do not
+    l = SpinQuantum(12)
+    pr = ModelParams(l, temperature=0.265, j4=1.124, g=0.076, sector=Fraction(-3))
+    glo, _ = split(minimize(pr))
+    assert len(glo) == 1
+
+
+def test_minimize_lists_paramagnet_once():
+    l = SpinQuantum(8)
+    pr = ModelParams(l, temperature=0.02, j4=0.217)
+    res = minimize(pr)
+    # the uniform weights are the only point at F = -T ln 9
+    para = [r for r in res if abs(r.f_value - (-0.02 * math.log(9.0))) < 1e-9]
+    assert len(para) == 1
+    assert para[0].classification == "local"
+    assert len(split(res)[0]) == 9
+
+
+def test_minimize_finds_shallow_local_orbit():
+    l = SpinQuantum(4)
+    pr = ModelParams(l, temperature=0.1968, j2=-0.257, j4=1.137, j8=0.291)
+    res = minimize(pr)
+    glo, loc = split(res)
+    assert len(glo) == 1 and len(loc) == 5
+    for r in loc:
+        assert abs(r.f_value - (-0.2007477402)) < 1e-9
+        assert abs(r.hessian_eigen_min - 0.0623715694) < 1e-9
+        assert min(
+            np.max(np.abs(r.m_star.values - mv.values)) for mv in loc[0].orbit
+        ) < 1e-7
+
+
+def test_minimize_finds_coupled_local_pair():
+    pr = ModelParams(L1, temperature=0.0254, j2=-0.218, j4=0.52, g=0.075,
+                     sector=Fraction(1))
+    glo, loc = split(minimize(pr))
+    assert len(glo) == 1 and len(loc) == 2
+    for r in loc:
+        assert abs(r.f_value - 0.0164999613) < 1e-9
+        assert r.hessian_eigen_min > 0.0
+
+
 @pytest.mark.parametrize(
     "couplings",
     [
