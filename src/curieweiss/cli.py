@@ -51,35 +51,38 @@ EXIT_OK = 0
 EXIT_USAGE = 1
 EXIT_NUMERICAL = 2
 
-_MODEL_KEYS = ("l", "j2", "j4", "j6", "j8", "temp", "g", "sector", "h0")
-_ECHO_KEYS = {
-    "landscape": _MODEL_KEYS
-    + ("resolution", "profile", "axis1", "axis2", "format"),
-    "minima": _MODEL_KEYS + ("seed", "format"),
-    "critical": _MODEL_KEYS + ("seed", "format"),
-    "symcheck": _MODEL_KEYS + ("samples", "seed", "format"),
-    "oracle": _MODEL_KEYS + ("n_list", "seed", "format"),
-}
+_ALL = ("landscape", "minima", "critical", "symcheck", "oracle")
+_FLOAT = {"type": float}
 
-_DEFAULTS = {
-    "l": 2,
-    "j2": 0.0,
-    "j4": 1.0,
-    "j6": 0.0,
-    "j8": 0.0,
-    "temp": 0.2,
-    "g": 0.0,
-    "sector": None,
-    "h0": 0.0,
-    "out": None,
-    "format": None,
-    "seed": 0,
-    "resolution": 201,
-    "samples": 1000,
-    "n_list": "50,100,200,400",
-    "profile": False,
-    "axis1": 1,
-    "axis2": 2,
+# option: (default, argparse keywords, subcommands that read it).  Reports
+# echo exactly the options their subcommand reads; --out and --config
+# (read by main, None here) are on every subcommand and never echoed.
+_OPTIONS = {
+    "l": (2, {"type": int, "metavar": "TWICE_L",
+              "help": "doubled spin of the magnet (default 2, i.e. l=1)"}, _ALL),
+    "j2": (0.0, _FLOAT, _ALL),
+    "j4": (1.0, _FLOAT, _ALL),
+    "j6": (0.0, _FLOAT, _ALL),
+    "j8": (0.0, _FLOAT, _ALL),
+    "temp": (0.2, _FLOAT, _ALL),
+    "g": (0.0, _FLOAT, _ALL),
+    "sector": (None, {"type": str, "help": "tested eigenvalue, e.g. 0, 1, -1/2"},
+               _ALL),
+    "h0": (0.0, _FLOAT, _ALL),
+    "format": (None, {"choices": ("csv", "json")}, _ALL),
+    "seed": (0, {"type": int}, ("minima", "critical", "symcheck", "oracle")),
+    "resolution": (201, {"type": int}, ("landscape",)),
+    "profile": (False, {"action": "store_true",
+                        "help": "1-D profile along the m1=0 line (l=1)"},
+                ("landscape",)),
+    "axis1": (1, {"type": int}, ("landscape",)),
+    "axis2": (2, {"type": int}, ("landscape",)),
+    "samples": (1000, {"type": int}, ("symcheck",)),
+    "n_list": ("50,100,200,400", {"type": str, "help": "comma-separated system sizes"},
+               ("oracle",)),
+    "out": (None, {"type": str, "help": "output path (stdout when omitted)"}, None),
+    "config": (None, {"type": str, "help": "JSON file of option defaults (flags win)"},
+               None),
 }
 
 
@@ -99,44 +102,24 @@ def _build_parser() -> _Parser:
     parser = _Parser(prog="curieweiss", description=__doc__.split("\n\n")[0])
     parser.add_argument("--version", action="version", version=__version__)
     sub = parser.add_subparsers(dest="command", required=True)
-    specs = {
-        "landscape": "free-energy grid or 1-D profile as CSV",
-        "minima": "multi-start minimization report",
-        "critical": "spinodal / critical temperature and coupling threshold",
-        "symcheck": "randomized symmetry property suite",
-        "oracle": "exact finite-N enumeration against the large-N solver",
-    }
-    for name, helptext in specs.items():
+    for name, (_, helptext) in _COMMANDS.items():
         p = sub.add_parser(name, help=helptext)
-        p.add_argument("--l", type=int, default=None, metavar="TWICE_L",
-                       help="doubled spin of the magnet (default 2, i.e. l=1)")
-        for flag in ("--j2", "--j4", "--j6", "--j8", "--temp", "--g", "--h0"):
-            p.add_argument(flag, type=float, default=None)
-        p.add_argument("--sector", type=str, default=None,
-                       help="tested eigenvalue, e.g. 0, 1, -1/2")
-        p.add_argument("--out", type=str, default=None,
-                       help="output path (stdout when omitted)")
-        p.add_argument("--format", choices=("csv", "json"), default=None)
-        p.add_argument("--seed", type=int, default=None)
-        p.add_argument("--resolution", type=int, default=None)
-        p.add_argument("--samples", type=int, default=None)
-        p.add_argument("--config", type=str, default=None,
-                       help="JSON file of option defaults (flags win)")
-        if name == "landscape":
-            p.add_argument("--profile", action="store_true", default=None,
-                           help="1-D profile along the m1=0 line (l=1)")
-            p.add_argument("--axis1", type=int, default=None)
-            p.add_argument("--axis2", type=int, default=None)
-        if name == "oracle":
-            p.add_argument("--n-list", dest="n_list", type=str, default=None,
-                           help="comma-separated system sizes")
+        for key, (_, keywords, readers) in _OPTIONS.items():
+            if readers is None or name in readers:
+                p.add_argument("--" + key.replace("_", "-"), dest=key, default=None,
+                               **keywords)
     return parser
 
 
 def _merge_config(args: argparse.Namespace) -> dict:
-    """Resolve option precedence: explicit flags > config file > defaults."""
-    cfg = dict(_DEFAULTS)
-    if getattr(args, "config", None):
+    """Resolve option precedence: explicit flags > config file > defaults.
+
+    The result holds the options the subcommand reads, --out and --config;
+    a config file may name any option, and those the subcommand does not
+    read are ignored.
+    """
+    loaded = {}
+    if args.config:
         try:
             with open(args.config, encoding="utf-8") as fh:
                 loaded = json.load(fh)
@@ -144,15 +127,19 @@ def _merge_config(args: argparse.Namespace) -> dict:
             raise UsageError(f"cannot read config file {args.config}: {exc}")
         if not isinstance(loaded, dict):
             raise UsageError("config file must hold a JSON object")
-        for key, value in loaded.items():
-            if key not in _DEFAULTS:
+        for key in loaded:
+            if key not in _OPTIONS:
                 raise UsageError(f"unknown config key {key!r}")
-            cfg[key] = value
-    for key in _DEFAULTS:
-        flag_value = getattr(args, key, None)
-        if flag_value is not None:
-            cfg[key] = flag_value
-    cfg["command"] = args.command
+    cfg = {"command": args.command}
+    for key, (default, _, readers) in _OPTIONS.items():
+        if readers is None or args.command in readers:
+            flag_value = getattr(args, key)
+            cfg[key] = loaded.get(key, default) if flag_value is None else flag_value
+    n_list = cfg.get("n_list")
+    if isinstance(n_list, str):
+        cfg["n_list"] = [int(part) for part in n_list.split(",") if part.strip()]
+    elif n_list is not None:
+        cfg["n_list"] = [int(v) for v in n_list]
     return cfg
 
 
@@ -195,14 +182,11 @@ def _plain(obj):
 
 
 def _echo_config(cfg: dict) -> dict:
-    keys = _ECHO_KEYS[cfg["command"]]
-    echo = {}
-    for key in keys:
-        value = cfg[key]
-        if key == "n_list" and isinstance(value, str):
-            value = [int(part) for part in value.split(",") if part.strip()]
-        echo[key] = _plain(value)
-    return dict(sorted(echo.items()))
+    return {
+        key: _plain(cfg[key])
+        for key, (_, _, readers) in sorted(_OPTIONS.items())
+        if readers is not None and cfg["command"] in readers
+    }
 
 
 def _provenance(cfg_echo: dict, command: str) -> str:
@@ -212,19 +196,6 @@ def _provenance(cfg_echo: dict, command: str) -> str:
         separators=(",", ":"),
     )
     return "sha256:" + hashlib.sha256(canon.encode("utf-8")).hexdigest()
-
-
-def _csv_text(cfg: dict, header: str, rows: list[str], notes: list[str]) -> str:
-    echo = _echo_config(cfg)
-    lines = [
-        f"# curieweiss {cfg['command']} v{__version__}",
-        "# config: " + json.dumps(echo, sort_keys=True, separators=(",", ":")),
-        "# provenance: " + _provenance(echo, cfg["command"]),
-    ]
-    lines += [f"# {note}" for note in notes]
-    lines.append(header)
-    lines.extend(rows)
-    return "\n".join(lines) + "\n"
 
 
 def _json_text(cfg: dict, results, residuals, status: str) -> str:
@@ -241,8 +212,36 @@ def _json_text(cfg: dict, results, residuals, status: str) -> str:
     return json.dumps(report, indent=2, allow_nan=False) + "\n"
 
 
-def _f12(value: float) -> str:
-    return format(value, ".12g")
+def _status(failures: int, total: int) -> tuple[str, int]:
+    """Report status and exit code: only a total failure is a numerical one."""
+    if failures == total:
+        return "failed", EXIT_NUMERICAL
+    return ("partial" if failures else "ok"), EXIT_OK
+
+
+_BLOCK_ROWS = 1 << 16
+
+
+def _table(cfg: dict, header: str, columns, notes: list[str]) -> str:
+    """Equal-length numpy columns as CSV rows (%.12g floats, integer flags)
+    or as the rows of a JSON report.  CSV rows are formatted a block at a
+    time, so only one block is ever held as Python objects."""
+    if cfg["format"] == "json":
+        rows = list(zip(*(c.tolist() for c in columns)))
+        return _json_text(cfg, {"columns": header.split(","), "rows": rows}, {}, "ok")
+    echo = _echo_config(cfg)
+    lines = [
+        f"# curieweiss {cfg['command']} v{__version__}",
+        "# config: " + json.dumps(echo, sort_keys=True, separators=(",", ":")),
+        "# provenance: " + _provenance(echo, cfg["command"]),
+    ]
+    lines += [f"# {note}" for note in notes]
+    lines.append(header)
+    line = ",".join("{:d}" if c.dtype.kind == "i" else "{:.12g}" for c in columns)
+    for s in range(0, len(columns[0]), _BLOCK_ROWS):
+        block = (c[s:s + _BLOCK_ROWS].tolist() for c in columns)
+        lines.append("\n".join(map(line.format, *block)))
+    return "\n".join(lines) + "\n"
 
 
 # ---------------------------------------------------------------------------
@@ -254,7 +253,6 @@ def cmd_landscape(cfg: dict) -> tuple[str, int]:
     resolution = int(cfg["resolution"])
     if resolution < 2:
         raise UsageError("resolution must be at least 2")
-    fmt = cfg["format"] or "csv"
 
     if cfg["profile"]:
         if params.l.twice_l != 2:
@@ -267,20 +265,9 @@ def cmd_landscape(cfg: dict) -> tuple[str, int]:
             f_cpl, _ = free_energy_batch(params, m)
         else:
             f_cpl = f_unc
-        header = "m2,feasible,F_uncoupled,F_coupled"
-        if fmt == "json":
-            rows = [
-                [float(a), int(o), _plain(u), _plain(c)]
-                for a, o, u, c in zip(m2, ok, f_unc, f_cpl)
-            ]
-            return _json_text(
-                cfg, {"columns": header.split(","), "rows": rows}, {}, "ok"
-            ), EXIT_OK
-        rows = [
-            f"{_f12(a)},{int(o)},{_f12(u)},{_f12(c)}"
-            for a, o, u, c in zip(m2, ok, f_unc, f_cpl)
-        ]
-        return _csv_text(cfg, header, rows, ["profile: m1 = 0 line"]), EXIT_OK
+        return _table(cfg, "m2,feasible,F_uncoupled,F_coupled",
+                      (m2, ok.astype(int), f_unc, f_cpl),
+                      ["profile: m1 = 0 line"]), EXIT_OK
 
     k1, k2 = int(cfg["axis1"]), int(cfg["axis2"])
     if not (1 <= k1 <= params.l.twice_l and 1 <= k2 <= params.l.twice_l) or k1 == k2:
@@ -298,28 +285,13 @@ def cmd_landscape(cfg: dict) -> tuple[str, int]:
     m[:, k1 - 1] = g1.ravel()
     m[:, k2 - 1] = g2.ravel()
     f, ok = free_energy_batch(params, m)
-
     notes = [f"axes: m{k1} (rows), m{k2} (columns); other moments at paramagnet"]
-    header = f"m{k1},m{k2},feasible,F"
-    if fmt == "json":
-        rows = [
-            [float(a), float(b), int(o), _plain(v)]
-            for a, b, o, v in zip(m[:, k1 - 1], m[:, k2 - 1], ok, f)
-        ]
-        return _json_text(
-            cfg, {"columns": header.split(","), "rows": rows}, {}, "ok"
-        ), EXIT_OK
-    rows = [
-        f"{_f12(a)},{_f12(b)},{int(o)},{_f12(v)}"
-        for a, b, o, v in zip(m[:, k1 - 1], m[:, k2 - 1], ok, f)
-    ]
-    return _csv_text(cfg, header, rows, notes), EXIT_OK
+    return _table(cfg, f"m{k1},m{k2},feasible,F",
+                  (m[:, k1 - 1], m[:, k2 - 1], ok.astype(int), f), notes), EXIT_OK
 
 
 def cmd_minima(cfg: dict) -> tuple[str, int]:
     params = _make_params(cfg)
-    if cfg["format"] == "csv":
-        raise UsageError("minima emits a JSON report")
     try:
         found = minimize(params, seed=int(cfg["seed"]))
     except NonConvergence as exc:
@@ -386,8 +358,6 @@ def _scan_transition(params: ModelParams, found_at, want_global: bool):
 
 def cmd_critical(cfg: dict) -> tuple[str, int]:
     params = _make_params(cfg)
-    if cfg["format"] == "csv":
-        raise UsageError("critical emits a JSON report")
     if params.g != 0.0:
         raise UsageError(
             "critical expects g = 0; the coupling threshold is itself "
@@ -398,33 +368,20 @@ def cmd_critical(cfg: dict) -> tuple[str, int]:
     failures = 0
 
     if params.l.twice_l == 2:
-        try:
-            sp = spinodal_temperature(params)
-            results["T_ms"] = sp.value
-            results["m2_ms"] = float(sp.order_param.values[1])
-            residuals["T_ms"] = sp.residuals
-        except (CurieWeissError, ValueError) as exc:
-            results["T_ms"], results["m2_ms"] = None, None
-            residuals["T_ms"] = {"error": str(exc)}
-            failures += 1
-        try:
-            ct = critical_temperature(params)
-            results["T_c"] = ct.value
-            results["m2_c"] = float(ct.order_param.values[1])
-            residuals["T_c"] = ct.residuals
-        except (CurieWeissError, ValueError) as exc:
-            results["T_c"], results["m2_c"] = None, None
-            residuals["T_c"] = {"error": str(exc)}
-            failures += 1
-        try:
-            cc = critical_coupling(params)
-            results["g_c"] = cc.value
-            results["barrier_location"] = float(cc.order_param.values[1])
-            residuals["g_c"] = cc.residuals
-        except (CurieWeissError, ValueError) as exc:
-            results["g_c"], results["barrier_location"] = None, None
-            residuals["g_c"] = {"error": str(exc)}
-            failures += 1
+        for key, solve, location in (
+            ("T_ms", spinodal_temperature, "m2_ms"),
+            ("T_c", critical_temperature, "m2_c"),
+            ("g_c", critical_coupling, "barrier_location"),
+        ):
+            try:
+                point = solve(params)
+                results[key] = point.value
+                results[location] = float(point.order_param.values[1])
+                residuals[key] = point.residuals
+            except (CurieWeissError, ValueError) as exc:
+                results[key], results[location] = None, None
+                residuals[key] = {"error": str(exc)}
+                failures += 1
     else:
         seed = int(cfg["seed"])
 
@@ -451,16 +408,12 @@ def cmd_critical(cfg: dict) -> tuple[str, int]:
         }
         failures += 1
 
-    total = 3
-    status = "ok" if failures == 0 else ("failed" if failures == total else "partial")
-    code = EXIT_NUMERICAL if failures == total else EXIT_OK
+    status, code = _status(failures, 3)
     return _json_text(cfg, results, residuals, status), code
 
 
 def cmd_symcheck(cfg: dict) -> tuple[str, int]:
     params = _make_params(cfg)
-    if cfg["format"] == "csv":
-        raise UsageError("symcheck emits a JSON report")
     samples = int(cfg["samples"])
     deviations = run_symmetry_suite(params.l, samples=samples, seed=int(cfg["seed"]))
     passed = {k: bool(deviations[k] <= TOLERANCES[k]) for k in deviations}
@@ -479,14 +432,7 @@ def cmd_symcheck(cfg: dict) -> tuple[str, int]:
 
 def cmd_oracle(cfg: dict) -> tuple[str, int]:
     params = _make_params(cfg)
-    if cfg["format"] == "csv":
-        raise UsageError("oracle emits a JSON report")
-    raw_list = cfg["n_list"]
-    if isinstance(raw_list, str):
-        parts = [part.strip() for part in raw_list.split(",") if part.strip()]
-        n_list = [int(part) for part in parts]
-    else:
-        n_list = [int(v) for v in raw_list]
+    n_list = cfg["n_list"]
     if not n_list or any(n < 1 for n in n_list):
         raise UsageError("n-list must hold positive integers")
 
@@ -548,20 +494,16 @@ def cmd_oracle(cfg: dict) -> tuple[str, int]:
             residuals["gap_rate_constant"] = max(
                 g * n / np.log(n) for n, g in gaps
             )
-    all_failed = failures == len(n_list)
-    status = "ok" if failures == 0 else ("failed" if all_failed else "partial")
-    return (
-        _json_text(cfg, results, residuals, status),
-        EXIT_NUMERICAL if all_failed else EXIT_OK,
-    )
+    status, code = _status(failures, len(n_list))
+    return _json_text(cfg, results, residuals, status), code
 
 
 _COMMANDS = {
-    "landscape": cmd_landscape,
-    "minima": cmd_minima,
-    "critical": cmd_critical,
-    "symcheck": cmd_symcheck,
-    "oracle": cmd_oracle,
+    "landscape": (cmd_landscape, "free-energy grid or 1-D profile as CSV"),
+    "minima": (cmd_minima, "multi-start minimization report"),
+    "critical": (cmd_critical, "spinodal / critical temperature and coupling threshold"),
+    "symcheck": (cmd_symcheck, "randomized symmetry property suite"),
+    "oracle": (cmd_oracle, "exact finite-N enumeration against the large-N solver"),
 }
 
 
@@ -570,13 +512,16 @@ def main(argv=None) -> int:
     args = parser.parse_args(argv)
     try:
         cfg = _merge_config(args)
-        text, code = _COMMANDS[args.command](cfg)
-    except (UsageError, ValueError, TypeError) as exc:
-        print(f"curieweiss: error: {exc}", file=sys.stderr)
-        return EXIT_USAGE
+        if cfg["format"] == "csv" and args.command != "landscape":
+            raise UsageError(f"{args.command} emits a JSON report")
+        text, code = _COMMANDS[args.command][0](cfg)
     except CurieWeissError as exc:
+        # before ValueError: InfeasibleMoments and EnsembleTooLarge are both
         print(f"curieweiss: numerical failure: {exc}", file=sys.stderr)
         return EXIT_NUMERICAL
+    except (ValueError, TypeError) as exc:
+        print(f"curieweiss: error: {exc}", file=sys.stderr)
+        return EXIT_USAGE
     if cfg["out"]:
         try:
             with open(cfg["out"], "w", encoding="utf-8", newline="\n") as fh:

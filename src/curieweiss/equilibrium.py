@@ -23,7 +23,6 @@ from scipy.optimize import brentq
 from .errors import NoSolutionInBracket, NonConvergence
 from .order_params import (
     MomentVector,
-    moment_orbit,
     paramagnet_moments,
     random_weights,
     weights_to_moments_array,
@@ -99,8 +98,11 @@ def _residual(kernel: _Kernel, u: np.ndarray, x: np.ndarray) -> np.ndarray:
     return r - x @ r
 
 
-def _settle(kernel: _Kernel, u: np.ndarray) -> np.ndarray:
-    """Descend F from log weights u (x = softmax(u)); returns the final x.
+def _settle(kernel: _Kernel, u: np.ndarray) -> tuple[np.ndarray, float]:
+    """Descend F from log weights u (x = softmax(u)).
+
+    Returns the final x and T max|res| there, the largest component of the
+    tangent gradient of F in the weights.
 
     Where the tangent Hessian is positive definite (_stability_eig > 0)
     the step is Newton's: (I + H_E diag(x)/T) du = -res + c 1 with
@@ -141,7 +143,7 @@ def _settle(kernel: _Kernel, u: np.ndarray) -> np.ndarray:
         else:
             break
         u, x, f, res = u_new, x_new, f_new, res_new
-    return x
+    return x, t * float(np.max(np.abs(res)))
 
 
 def minimize(params: ModelParams, n_random: int = 20, seed: int = 0) -> list[Minimum]:
@@ -150,14 +152,17 @@ def minimize(params: ModelParams, n_random: int = 20, seed: int = 0) -> list[Min
     Starts: the paramagnet, every vertex pulled 1e-3 into the interior,
     and ``n_random`` uniform simplex samples.  Each start descends along
     one path (_settle: Newton where F is locally convex, mean-field
-    steps elsewhere).  Endpoints whose moment gradient is below GRAD_TOL
-    are deduplicated within 1e-6 in the max norm of their weights and
-    returned sorted by free energy; points degenerate with the lowest are
-    labeled "global", the rest "local".  The descent leaves saddles, so a
-    stationary point with a negative Hessian direction is reported
-    ("saddle-rejected") only when a start lands on one, e.g. the
-    symmetric paramagnet start.  Raises NonConvergence with the best
-    iterate when no start converges.
+    steps elsewhere).  Endpoints whose tangent gradient in the weights
+    (T times the final mean-field residual, exact in the log weights even
+    where occupations underflow) is below GRAD_TOL are deduplicated
+    within 1e-6 in the max norm of their weights and returned sorted by
+    free energy; points degenerate with the lowest are labeled "global",
+    the rest "local".  The descent leaves saddles, so a stationary point
+    with a negative Hessian direction is reported ("saddle-rejected")
+    only when a start lands on one, e.g. the symmetric paramagnet start.  Raises NonConvergence with the best
+    iterate when no start converges.  Each orbit member is computed from
+    the cyclically shifted weights, not by iterating the affine map on
+    moments, so it carries no compounded roundoff.
     """
     l = params.l
     n = l.n_states
@@ -174,11 +179,11 @@ def minimize(params: ModelParams, n_random: int = 20, seed: int = 0) -> list[Min
     candidates = []
     best = None
     for x0 in starts:
-        x = _settle(kernel, np.log(x0))
+        x, tangent_grad = _settle(kernel, np.log(x0))
         ev = free_energy_weights(params, x)
         if best is None or ev.free_energy < best[1].free_energy:
             best = (weights_to_moments_array(l, x), ev)
-        if ev.gradient is not None and np.max(np.abs(ev.gradient)) < GRAD_TOL:
+        if tangent_grad < GRAD_TOL:
             candidates.append((x, ev))
 
     if not candidates:
@@ -203,14 +208,15 @@ def minimize(params: ModelParams, n_random: int = 20, seed: int = 0) -> list[Min
             label = "global"
         else:
             label = "local"
-        mv = MomentVector(l, weights_to_moments_array(l, x))
+        orbit = [MomentVector(l, weights_to_moments_array(l, np.roll(x, k)))
+                 for k in range(n)]
         out.append(
             Minimum(
-                m_star=mv,
+                m_star=orbit[0],
                 f_value=float(ev.free_energy),
                 classification=label,
                 hessian_eigen_min=eig_min,
-                orbit=moment_orbit(mv),
+                orbit=orbit,
             )
         )
     return out
@@ -335,9 +341,8 @@ def spinodal_temperature(params: ModelParams) -> CriticalPoint:
     j2, j4, j6, j8, _ = _profile_coeffs(params, with_g=False)
 
     def t_of(m2):
-        p = 1.0 - 1.5 * m2
-        psi = 2.25 * j2 + 6.75 * j4 * p**2 + 11.25 * j6 * p**4 + 15.75 * j8 * p**6
-        return m2 * (1.0 - m2) * psi
+        # the temperature at which the profile curvature vanishes at m2
+        return -m2 * (1.0 - m2) * _profile_curvature(m2, 0.0, j2, j4, j6, j8)
 
     def reduced(m2):
         return _profile_slope(m2, t_of(m2), j2, j4, j6, j8, 0.0)
@@ -420,32 +425,18 @@ def critical_coupling(params: ModelParams) -> CriticalPoint:
     t = params.temperature
 
     def base(m2):
-        # threshold slope at g = 0: doubled exchange weight
-        p = 1.0 - 1.5 * m2
-        field = 3.0 * (j2 * p + j4 * p**3 + j6 * p**5 + j8 * p**7)
-        return field + t * math.log(m2 / (2.0 * (1.0 - m2)))
+        # threshold slope at g = 0: the profile slope at (T/2, 0), doubled
+        return 2.0 * _profile_slope(m2, t / 2, j2, j4, j6, j8, 0.0)
 
     def base_slope(m2):
-        p = 1.0 - 1.5 * m2
-        return (
-            -4.5 * j2 - 13.5 * j4 * p**2 - 22.5 * j6 * p**4 - 31.5 * j8 * p**6
-            + t / (m2 * (1.0 - m2))
-        )
+        return 2.0 * _profile_curvature(m2, t / 2, j2, j4, j6, j8)
 
     # the tangency sits at the upper zero of base_slope (local maximum of
     # the required coupling); 1e4-point scan, then refinement
     grid = np.linspace(1e-6, _M2_TOP * (1.0 - 1e-9), 10_000)
     zeros = _sign_change_roots(base_slope, grid)
     extrapolation = float(j2 != 0.0 or j6 != 0.0 or j8 != 0.0)
-    if not zeros:
-        return CriticalPoint(
-            kind="critical_coupling",
-            value=0.0,
-            order_param=paramagnet_moments(params.l),
-            residuals={"barrier_absent": 1.0, "extrapolation": extrapolation},
-        )
-    m2_b = zeros[-1]
-    g_c = -2.0 / 3.0 * base(m2_b)
+    g_c = -2.0 / 3.0 * base(zeros[-1]) if zeros else 0.0
     if g_c <= 0.0:
         return CriticalPoint(
             kind="critical_coupling",
@@ -453,6 +444,7 @@ def critical_coupling(params: ModelParams) -> CriticalPoint:
             order_param=paramagnet_moments(params.l),
             residuals={"barrier_absent": 1.0, "extrapolation": extrapolation},
         )
+    m2_b = zeros[-1]
     return CriticalPoint(
         kind="critical_coupling",
         value=float(g_c),

@@ -12,6 +12,7 @@ import pytest
 from scipy.optimize import minimize_scalar
 
 from curieweiss import cli
+from curieweiss.errors import InfeasibleMoments
 
 
 def run(args):
@@ -54,6 +55,19 @@ def test_flag_beats_config_file(tmp_path):
     assert abs(rep["results"]["g_c"] - 0.17064175898980052) < 1e-9
     rep = run_json(["critical", "--config", str(cfg)])
     assert rep["config"]["temp"] == 0.3
+
+
+def test_config_file_options_a_command_does_not_read(tmp_path):
+    cfg = tmp_path / "cfg.json"
+    cfg.write_text(json.dumps({"n_list": [4, 2], "samples": 5, "temp": 0.35}))
+    rep = run_json(["oracle", "--config", str(cfg)])
+    assert rep["config"]["n_list"] == [4, 2]
+    assert [r["n"] for r in rep["results"]["by_n"]] == [2, 4]
+    assert "samples" not in rep["config"]
+    rep = run_json(["minima", "--config", str(cfg)])
+    assert set(rep["config"]) == {"l", "j2", "j4", "j6", "j8", "temp", "g",
+                                  "sector", "h0", "seed", "format"}
+    assert rep["config"]["temp"] == 0.35
 
 
 # --- 2. critical ---
@@ -232,6 +246,29 @@ def test_landscape_bytes_pinned(args, digest):
     assert hashlib.sha256(out.encode("utf-8")).hexdigest() == digest
 
 
+@pytest.mark.parametrize(
+    "args, digest",
+    [
+        (["critical", "--temp", "0.4"],
+         "d2ffbb7dc496975aa5ba2654af08dfa615571005fbcca71ea1f6d55541c83eec"),
+        (["symcheck", "--l", "3", "--samples", "200", "--seed", "1"],
+         "ee7439434a87375e82c865d92e897ae605f53c6e730f9cd7ccce4a14b82c97ac"),
+        (["oracle", "--l", "2", "--n-list", "5,20"],
+         "e432bd5b00c4354e34f380e5bd34ba9b93e10083709ba0a6552ac53b7b400d01"),
+        (["landscape", "--profile", "--resolution", "41"],
+         "380026feb024c14f8eb50c8b955b7ca7f61568371b76f585474798d51bf9b170"),
+        (["landscape", "--resolution", "11", "--format", "json"],
+         "aee871f0dd529459bdbdd72bffff8bedc2a5b5c7954fd85ef22e87b20a008cd7"),
+    ],
+)
+def test_report_bytes_pinned(args, digest):
+    # whole reports of every command but minima, whose orbits carry
+    # roundoff-level digits
+    rc, out, _ = run(args)
+    assert rc == cli.EXIT_OK
+    assert hashlib.sha256(out.encode("utf-8")).hexdigest() == digest
+
+
 def test_landscape_header_names_axes():
     args = ["landscape", "--l", "4", "--resolution", "5", "--axis1", "2",
             "--axis2", "4"]
@@ -327,12 +364,28 @@ def test_oracle_partial_and_failed():
         ["critical", "--temp", "-0.1"],
         ["minima", "--g", "0.2"],  # coupling without a sector
         ["oracle", "--n-list", "0"],
+        ["landscape", "--seed", "1"],  # options a command does not read
+        ["minima", "--resolution", "5"],
+        ["oracle", "--samples", "9"],
     ],
 )
 def test_usage_errors(args):
     rc, _, err = run(args)
     assert rc == cli.EXIT_USAGE
     assert err.strip()
+
+
+def test_numerical_failure_exit_code(monkeypatch):
+    # InfeasibleMoments is also a ValueError, yet a numerical failure
+    def infeasible(params, **kwargs):
+        raise InfeasibleMoments("infeasible moments")
+
+    monkeypatch.setattr(cli, "minimize", infeasible)
+    rc, _, err = run(["minima"])
+    assert rc == cli.EXIT_NUMERICAL
+    assert "numerical failure" in err
+    rc, _, _ = run(["minima", "--l", "0"])
+    assert rc == cli.EXIT_USAGE
 
 
 def test_version_flag():

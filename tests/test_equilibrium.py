@@ -440,6 +440,28 @@ def test_minimize_finds_coupled_local_pair():
         assert r.hessian_eigen_min > 0.0
 
 
+def test_minimize_keeps_ordered_minima_deep_in_order():
+    # two occupations of each ordered minimum underflow to 0 at T = 0.002,
+    # where the moment gradient is undefined and the weight residual is not
+    pr = ModelParams(L1, temperature=0.002, j4=1.0)
+    glo, loc = split(minimize(pr))
+    assert len(glo) == 3 and len(loc) == 1
+    for r in glo:
+        assert abs(r.f_value - (-0.25)) < 1e-9
+    assert abs(loc[0].f_value - (-0.0021972246)) < 1e-10
+
+
+def test_minimize_orbit_exact_past_chart_resolution():
+    # the paramagnet is its own image; iterating the affine map on its
+    # moments at 2l = 12 drifts by about 1e-2 relative
+    pr = ModelParams(SpinQuantum(12), temperature=0.5, j4=1.0)
+    for r in minimize(pr):
+        scale = np.max(np.abs(r.m_star.values))
+        assert len(r.orbit) == 13
+        for mv in r.orbit:
+            assert np.max(np.abs(mv.values - r.m_star.values)) <= 1e-12 * scale
+
+
 @pytest.mark.parametrize(
     "couplings",
     [
