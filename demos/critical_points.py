@@ -3,12 +3,15 @@
 Prints the limit-of-metastability temperature, the degeneracy
 temperature, and the coupling strength that removes the barrier in the
 registration profile, together with the residuals that define each one.
+Then follows the first two thresholds across spins 1/2 to 3 on the
+reflection-axis branch.
 """
 
 import math
 
 from curieweiss import (
     ModelParams,
+    branch_thresholds,
     critical_coupling,
     critical_temperature,
     free_energy,
@@ -60,6 +63,14 @@ def main():
     for j4 in (1.0, 4.0, 16.0, 64.0):
         g = critical_coupling(ModelParams(L, temperature=0.4, j4=j4)).value
         print(f"  J4 = {j4:5.1f}: g_c = {g:.8f}   g_c * sqrt(J4) = {g * math.sqrt(j4):.8f}")
+
+    # the same two temperatures for every spin, from the explicit branch
+    # x = softmax(kappa c) on a reflection axis; at 2l = 2 it reproduces
+    # the closed forms above
+    print("\nT_ms and T_c versus spin at J4 = 1:")
+    for twice_l in range(1, 7):
+        ms, tc = branch_thresholds(ModelParams(SpinQuantum(twice_l), 0.3, j4=J4))
+        print(f"  2l = {twice_l}: T_ms = {ms.value:.10f}   T_c = {tc.value:.10f}")
 
 
 if __name__ == "__main__":

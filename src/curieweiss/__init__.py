@@ -12,6 +12,7 @@ from .equilibrium import (
     GRAD_TOL,
     CriticalPoint,
     Minimum,
+    branch_thresholds,
     critical_coupling,
     critical_temperature,
     meanfield_m2,
@@ -99,6 +100,7 @@ __all__ = [
     "TrigPoly",
     "WeightVector",
     "alignment",
+    "branch_thresholds",
     "coupling",
     "coupling_two_outcome",
     "critical_coupling",

@@ -1,8 +1,9 @@
 """Command-line front end emitting CSV grids and JSON reports.
 
 Five subcommands: ``landscape`` (free-energy grids and 1-D profiles),
-``minima`` (multi-start minimization), ``critical`` (transition points),
-``symcheck`` (randomized symmetry verification), ``oracle`` (exact
+``minima`` (multi-start minimization), ``critical`` (transition points:
+the l = 1 closed forms, or the reflection-axis branch solver for other
+l), ``symcheck`` (randomized symmetry verification), ``oracle`` (exact
 finite-N comparison).  Output is deterministic for a fixed config and
 seed; every file starts with a header carrying the version, the
 effective config, and a provenance hash over both.
@@ -14,7 +15,6 @@ from __future__ import annotations
 
 import argparse
 import dataclasses
-import functools
 import hashlib
 import json
 import sys
@@ -25,6 +25,7 @@ import numpy as np
 from . import __version__
 from .equilibrium import (
     GRAD_TOL,
+    branch_thresholds,
     critical_coupling,
     critical_temperature,
     minimize,
@@ -70,7 +71,7 @@ _OPTIONS = {
                _ALL),
     "h0": (0.0, _FLOAT, _ALL),
     "format": (None, {"choices": ("csv", "json")}, _ALL),
-    "seed": (0, {"type": int}, ("minima", "critical", "symcheck", "oracle")),
+    "seed": (0, {"type": int}, ("minima", "symcheck", "oracle")),
     "resolution": (201, {"type": int}, ("landscape",)),
     "profile": (False, {"action": "store_true",
                         "help": "1-D profile along the m1=0 line (l=1)"},
@@ -316,46 +317,6 @@ def cmd_minima(cfg: dict) -> tuple[str, int]:
     return _json_text(cfg, results, residuals, "ok"), EXIT_OK
 
 
-def _scan_transition(params: ModelParams, found_at, want_global: bool):
-    """Minimize-based temperature bisection for magnets without the l=1
-    closed-form profile.  found_at(T) is minimize's list at temperature T,
-    empty when it did not converge.  Returns (T, residuals dict)."""
-    pm = paramagnet_moments(params.l).values
-    scale = abs(params.j2) + abs(params.j4) + abs(params.j6) + abs(params.j8)
-    if scale == 0.0:
-        raise NoSolutionInBracket("all exchange couplings vanish")
-
-    def broken_at(t: float) -> bool:
-        for mini in found_at(t):
-            if mini.classification == "saddle-rejected":
-                continue
-            if want_global and mini.classification != "global":
-                continue
-            if np.max(np.abs(mini.m_star.values - pm)) > 1e-3:
-                return True
-        return False
-
-    grid = scale * np.geomspace(0.02, 1.2, 8)
-    flags = [broken_at(t) for t in grid]
-    if not flags[0]:
-        raise NoSolutionInBracket(
-            "no symmetry-broken state found even at the lowest scan temperature"
-        )
-    if flags[-1]:
-        raise NoSolutionInBracket(
-            "symmetry-broken state persists at the highest scan temperature"
-        )
-    idx = next(i for i, flag in enumerate(flags) if not flag)
-    lo, hi = grid[idx - 1], grid[idx]
-    for _ in range(18):
-        mid = 0.5 * (lo + hi)
-        if broken_at(mid):
-            lo = mid
-        else:
-            hi = mid
-    return 0.5 * (lo + hi), {"bisection_width": hi - lo, "scan_based": 1.0}
-
-
 def cmd_critical(cfg: dict) -> tuple[str, int]:
     params = _make_params(cfg)
     if params.g != 0.0:
@@ -363,52 +324,30 @@ def cmd_critical(cfg: dict) -> tuple[str, int]:
             "critical expects g = 0; the coupling threshold is itself "
             "computed as a function of --temp"
         )
-    results = {}
-    residuals = {}
-    failures = 0
+
+    def attempt(solve):  # the threshold, or the error that makes it fail
+        try:
+            return solve(params)
+        except (CurieWeissError, ValueError) as exc:
+            return exc
 
     if params.l.twice_l == 2:
-        for key, solve, location in (
-            ("T_ms", spinodal_temperature, "m2_ms"),
-            ("T_c", critical_temperature, "m2_c"),
-            ("g_c", critical_coupling, "barrier_location"),
-        ):
-            try:
-                point = solve(params)
-                results[key] = point.value
-                results[location] = float(point.order_param.values[1])
-                residuals[key] = point.residuals
-            except (CurieWeissError, ValueError) as exc:
-                results[key], results[location] = None, None
-                residuals[key] = {"error": str(exc)}
-                failures += 1
+        points = [attempt(solve) for solve in
+                  (spinodal_temperature, critical_temperature, critical_coupling)]
     else:
-        seed = int(cfg["seed"])
-
-        @functools.lru_cache(maxsize=None)
-        def found_at(t: float):
-            try:
-                return minimize(dataclasses.replace(params, temperature=t),
-                                n_random=6, seed=seed)
-            except NonConvergence:
-                return []
-
-        for key, want_global in (("T_ms", False), ("T_c", True)):
-            try:
-                value, diag = _scan_transition(params, found_at, want_global)
-                results[key] = value
-                residuals[key] = diag
-            except (CurieWeissError, ValueError) as exc:
-                results[key] = None
-                residuals[key] = {"error": str(exc)}
-                failures += 1
-        results["g_c"] = None
-        residuals["g_c"] = {
-            "error": "coupling threshold is implemented for twice_l = 2 only"
-        }
-        failures += 1
-
-    status, code = _status(failures, 3)
+        pair = attempt(branch_thresholds)
+        t_ms, t_c = pair if isinstance(pair, tuple) else (pair, pair)
+        points = [t_ms, t_c or NoSolutionInBracket("no crossing below the spinodal"),
+                  ValueError("coupling threshold is implemented for twice_l = 2 only")]
+    results, residuals = {}, {}
+    for key, location, point in zip(("T_ms", "T_c", "g_c"),
+                                    ("m2_ms", "m2_c", "barrier_location"), points):
+        failed = isinstance(point, Exception)
+        results[key] = None if failed else point.value
+        if params.l.twice_l == 2:
+            results[location] = None if failed else float(point.order_param.values[1])
+        residuals[key] = {"error": str(point)} if failed else point.residuals
+    status, code = _status(sum(isinstance(p, Exception) for p in points), 3)
     return _json_text(cfg, results, residuals, status), code
 
 

@@ -9,13 +9,15 @@ and saddles are reported only when a start lands on one.  The
 three-state magnet additionally gets closed-form machinery along its
 symmetric m1 = 0 profile: the mean-field root, the spinodal and critical
 temperatures, and the coupling threshold above which nothing blocks
-registration.
+registration.  For every l, branch_thresholds finds the spinodal and
+critical temperatures on the explicit reflection-axis branches.
 """
 
 from __future__ import annotations
 
+import functools
 import math
-from dataclasses import dataclass
+from dataclasses import dataclass, replace
 
 import numpy as np
 from scipy.optimize import brentq
@@ -27,7 +29,7 @@ from .order_params import (
     random_weights,
     weights_to_moments_array,
 )
-from .thermo import ModelParams, _Kernel, free_energy_weights
+from .thermo import ModelParams, _entropy, _Kernel, free_energy_weights
 
 GRAD_TOL = 1e-8
 _DEDUP_TOL = 1e-6
@@ -87,9 +89,9 @@ def _stability_eig(kernel: _Kernel, x: np.ndarray) -> float:
 
 
 def _softmax(u: np.ndarray):
-    u = u - u.max()  # same x; keeps u from drifting into roundoff
+    u = u - u.max(axis=-1, keepdims=True)  # same x, per row; keeps u bounded
     z = np.exp(u)
-    return u, z / z.sum()
+    return u, z / z.sum(axis=-1, keepdims=True)
 
 
 def _residual(kernel: _Kernel, u: np.ndarray, x: np.ndarray) -> np.ndarray:
@@ -159,10 +161,11 @@ def minimize(params: ModelParams, n_random: int = 20, seed: int = 0) -> list[Min
     free energy; points degenerate with the lowest are labeled "global",
     the rest "local".  The descent leaves saddles, so a stationary point
     with a negative Hessian direction is reported ("saddle-rejected")
-    only when a start lands on one, e.g. the symmetric paramagnet start.  Raises NonConvergence with the best
-    iterate when no start converges.  Each orbit member is computed from
-    the cyclically shifted weights, not by iterating the affine map on
-    moments, so it carries no compounded roundoff.
+    only when a start lands on one, e.g. the symmetric paramagnet start.
+    Raises NonConvergence with the best iterate when no start converges.
+    Each orbit member is computed from the cyclically shifted weights,
+    not by iterating the affine map on moments, so it carries no
+    compounded roundoff.
     """
     l = params.l
     n = l.n_states
@@ -176,35 +179,32 @@ def minimize(params: ModelParams, n_random: int = 20, seed: int = 0) -> list[Min
     starts.extend(random_weights(l, rng, n_random))
 
     kernel = _Kernel(params)
-    candidates = []
-    best = None
+    endpoints = []
     for x0 in starts:
         x, tangent_grad = _settle(kernel, np.log(x0))
-        ev = free_energy_weights(params, x)
-        if best is None or ev.free_energy < best[1].free_energy:
-            best = (weights_to_moments_array(l, x), ev)
-        if tangent_grad < GRAD_TOL:
-            candidates.append((x, ev))
-
+        # renormalized as free_energy_weights does, so F agrees bit for bit
+        endpoints.append((float(kernel.value(x / x.sum())), x, tangent_grad < GRAD_TOL))
+    candidates = [(f, x) for f, x, converged in endpoints if converged]
     if not candidates:
+        x = min(endpoints, key=lambda e: e[0])[1]
         raise NonConvergence(
             f"no start converged below gradient tolerance {GRAD_TOL}",
-            best=best,
+            best=(weights_to_moments_array(l, x), free_energy_weights(params, x)),
         )
 
-    candidates.sort(key=lambda c: c[1].free_energy)
+    candidates.sort(key=lambda c: c[0])
     kept = []
-    for x, ev in candidates:
-        if all(np.max(np.abs(x - x_prev)) >= _DEDUP_TOL for x_prev, _, _ in kept):
-            kept.append((x, ev, _stability_eig(kernel, x)))
+    for f, x in candidates:
+        if all(np.max(np.abs(x - x_prev)) >= _DEDUP_TOL for _, x_prev, _ in kept):
+            kept.append((f, x, _stability_eig(kernel, x)))
 
-    true_minima = [ev.free_energy for _, ev, e in kept if e > _SADDLE_TOL]
-    f_best = min(true_minima) if true_minima else kept[0][1].free_energy
+    true_minima = [f for f, _, e in kept if e > _SADDLE_TOL]
+    f_best = min(true_minima) if true_minima else kept[0][0]
     out = []
-    for x, ev, eig_min in kept:
+    for f, x, eig_min in kept:
         if eig_min < _SADDLE_TOL:
             label = "saddle-rejected"
-        elif ev.free_energy <= f_best + _DEGENERACY_TOL:
+        elif f <= f_best + _DEGENERACY_TOL:
             label = "global"
         else:
             label = "local"
@@ -213,7 +213,7 @@ def minimize(params: ModelParams, n_random: int = 20, seed: int = 0) -> list[Min
         out.append(
             Minimum(
                 m_star=orbit[0],
-                f_value=float(ev.free_energy),
+                f_value=f,
                 classification=label,
                 hessian_eigen_min=eig_min,
                 orbit=orbit,
@@ -231,11 +231,6 @@ def orbit(minimum: Minimum) -> list[MomentVector]:
 # the symmetric m1 = 0 profile of the three-state magnet
 
 _M2_TOP = 2.0 / 3.0
-
-
-def _require_three_state(params: ModelParams, op: str):
-    if params.l.twice_l != 2:
-        raise ValueError(f"{op} is defined for twice_l = 2 only")
 
 
 def _profile_value(m2, t, j2, j4, j6, j8, g):
@@ -264,7 +259,12 @@ def _profile_curvature(m2, t, j2, j4, j6, j8):
     )
 
 
-def _profile_coeffs(params: ModelParams, with_g: bool):
+def _profile_coeffs(params: ModelParams, op: str, with_g=False, bare=False):
+    """(j2, j4, j6, j8, g) of the m1 = 0 profile; g is 0 unless with_g."""
+    if params.l.twice_l != 2:
+        raise ValueError(f"{op} is defined for twice_l = 2 only")
+    if bare and params.g != 0.0:
+        raise ValueError(f"{op} expects g = 0")
     g = params.g if with_g else 0.0
     if g > 0 and params.sector is not None and params.sector != 0:
         raise ValueError("the coupled m1 = 0 profile is the sector-0 one")
@@ -299,8 +299,7 @@ def meanfield_m2(params: ModelParams) -> float:
     representable m2 the branch sits below double-precision range and
     the boundary value 0.0 is returned.
     """
-    _require_three_state(params, "meanfield_m2")
-    j2, j4, j6, j8, g = _profile_coeffs(params, with_g=True)
+    j2, j4, j6, j8, g = _profile_coeffs(params, "meanfield_m2", with_g=True)
     t = params.temperature
 
     def slope(m2):
@@ -335,10 +334,7 @@ def spinodal_temperature(params: ModelParams) -> CriticalPoint:
     bracketing the remaining 1-D equation.  Defined for twice_l = 2 with
     g = 0; nonzero j2/j6/j8 are solved too but flagged as extrapolation.
     """
-    _require_three_state(params, "spinodal_temperature")
-    if params.g != 0.0:
-        raise ValueError("spinodal_temperature expects g = 0")
-    j2, j4, j6, j8, _ = _profile_coeffs(params, with_g=False)
+    j2, j4, j6, j8, _ = _profile_coeffs(params, "spinodal_temperature", bare=True)
 
     def t_of(m2):
         # the temperature at which the profile curvature vanishes at m2
@@ -373,15 +369,11 @@ def critical_temperature(params: ModelParams) -> CriticalPoint:
     paramagnet value.  Defined for twice_l = 2 with g = 0; nonzero
     j2/j6/j8 flagged as extrapolation.
     """
-    _require_three_state(params, "critical_temperature")
-    if params.g != 0.0:
-        raise ValueError("critical_temperature expects g = 0")
-    j2, j4, j6, j8, _ = _profile_coeffs(params, with_g=False)
+    j2, j4, j6, j8, _ = _profile_coeffs(params, "critical_temperature", bare=True)
     t_ms = spinodal_temperature(params).value
 
     def ferro_gap(t):
-        trial = ModelParams(l=params.l, temperature=t, j2=j2, j4=j4, j6=j6, j8=j8)
-        m2 = meanfield_m2(trial)
+        m2 = meanfield_m2(replace(params, temperature=t))
         return _profile_value(m2, t, j2, j4, j6, j8, 0.0) + t * math.log(3.0)
 
     lo = t_ms * 1e-4
@@ -391,9 +383,7 @@ def critical_temperature(params: ModelParams) -> CriticalPoint:
             "free-energy crossing not bracketed below the spinodal"
         )
     t_c = float(brentq(ferro_gap, lo, hi, xtol=1e-13, rtol=1e-15))
-    m2_c = meanfield_m2(
-        ModelParams(l=params.l, temperature=t_c, j2=j2, j4=j4, j6=j6, j8=j8)
-    )
+    m2_c = meanfield_m2(replace(params, temperature=t_c))
     extrapolation = float(j2 != 0.0 or j6 != 0.0 or j8 != 0.0)
     return CriticalPoint(
         kind="critical_temperature",
@@ -420,8 +410,7 @@ def critical_coupling(params: ModelParams) -> CriticalPoint:
     any coupling the threshold is 0 and ``barrier_absent`` is flagged in
     the residuals.
     """
-    _require_three_state(params, "critical_coupling")
-    j2, j4, j6, j8, _ = _profile_coeffs(params, with_g=False)
+    j2, j4, j6, j8, _ = _profile_coeffs(params, "critical_coupling")
     t = params.temperature
 
     def base(m2):
@@ -456,3 +445,73 @@ def critical_coupling(params: ModelParams) -> CriticalPoint:
             "extrapolation": extrapolation,
         },
     )
+
+
+# ---------------------------------------------------------------------------
+# thresholds of the bare magnet for any l, along the reflection axes
+
+
+def _axis_branch(kernel: _Kernel, c: np.ndarray, kappa):
+    """x = softmax(kappa c), its T, dT/dkappa and F + T ln n; kappa 0-D or 1-D."""
+    x = _softmax(np.multiply.outer(kappa, c))[1]
+    r = x @ c
+    a = r * r
+    d1, d2 = kernel.dphi(a)
+    t = -2.0 * d1 * r / kappa
+    return (x, t, (-2.0 * (d1 + 2.0 * a * d2) * (x @ (c * c) - a) - t) / kappa,
+            kernel.energy(x) + t * (math.log(c.size) - _entropy(x)))
+
+
+def branch_thresholds(params: ModelParams) -> tuple[CriticalPoint, CriticalPoint | None]:
+    """Spinodal and critical temperature of the bare magnet, for any l.
+
+    With g = h0 = 0, a stationary point whose mean phase lies on a reflection
+    axis alpha in {0, pi/n} has weights x = softmax(kappa c), c = cos(theta -
+    alpha), at T(kappa) = G R / kappa with R = x.c and G = -2 phi'(R**2).
+    T_ms is the highest fold of T(kappa), kappa in [1e-3, 50], with a stable
+    ordered side; T_c the highest root of F + T ln n beyond it (None if the
+    branch stays above the paramagnet).  With no fold above the paramagnet's
+    stability edge T(0+) = J2 c.c/n the transition is continuous and
+    T_ms = T_c = T(0+).  Assumes the thresholds lie on a reflection axis.
+    """
+    if params.g != 0.0 or params.h0 != 0.0:
+        raise ValueError("branch_thresholds expects g = 0 and h0 = 0")
+    kernel = _Kernel(params)
+    n = params.l.n_states
+    kappa = np.geomspace(1e-3, 50.0, 2000)
+    edge, folds, crossings = 0.0, {}, {}  # temperature -> log weights kappa c
+    for alpha in (0.0, math.pi / n):
+        c = kernel.table @ np.array([math.cos(alpha), math.sin(alpha)])
+        if c @ c < 0.5:
+            continue  # at 2l = 1, cos(theta_sigma) = 0: no alpha = 0 axis
+        edge = params.j2 * (c @ c) / n
+        branch = functools.partial(_axis_branch, kernel, c)
+        for k in _sign_change_roots(lambda k: branch(k)[2], kappa):
+            x, t, _, _ = branch(k * (1.0 + 1e-3))
+            if t <= 0.0 or _stability_eig(_Kernel(replace(params, temperature=t)),
+                                          x) <= 0.0:
+                continue
+            folds[branch(k)[1]] = k * c
+            gaps = _sign_change_roots(lambda k: branch(k)[3],
+                                      np.append(k, kappa[kappa > k]))
+            if gaps:
+                crossings[branch(gaps[0])[1]] = gaps[0] * c
+    continuous = float(edge > 0.0 and all(t <= edge for t in folds))
+    if continuous:
+        folds = crossings = {edge: np.zeros(n)}
+    if not folds:
+        raise NoSolutionInBracket("no symmetry-broken branch at a positive temperature")
+
+    def point(kind, found, name, check):
+        t = max(found)
+        at, u = _Kernel(replace(params, temperature=t)), found[t]
+        x = _softmax(u)[1]
+        m = MomentVector(params.l, weights_to_moments_array(params.l, x))
+        return CriticalPoint(kind, float(t), m, {
+            "stationarity": float(t * np.max(np.abs(_residual(at, u, x)))),
+            name: abs(float(check(at, x))), "continuous": continuous})
+
+    return (point("spinodal", folds, "fold_eigenvalue", _stability_eig),
+            point("critical_temperature", crossings, "degeneracy",
+                  lambda at, x: at.value(x) + at.params.temperature * math.log(n))
+            if crossings else None)

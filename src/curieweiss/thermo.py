@@ -150,16 +150,16 @@ class _Kernel:
     def value(self, x):
         return self.energy(x) - self.params.temperature * _entropy(x)
 
+    def dphi(self, a):
+        """phi'(A) and phi''(A)."""
+        pr = self.params
+        return (-0.5 * (pr.j2 + pr.j4 * a + pr.j6 * a**2 + pr.j8 * a**3),
+                -0.5 * (pr.j4 + 2 * pr.j6 * a + 3 * pr.j8 * a**2))
+
     def _slopes(self, x):
         """dA/dx, phi'(A) and phi''(A) at one point."""
         pq, a = _mean_phase(self.table, x)
-        a = float(a)
-        pr = self.params
-        return (
-            self.table @ (2.0 * pq),
-            -0.5 * (pr.j2 + pr.j4 * a + pr.j6 * a**2 + pr.j8 * a**3),
-            -0.5 * (pr.j4 + 2 * pr.j6 * a + 3 * pr.j8 * a**2),
-        )
+        return (self.table @ (2.0 * pq), *self.dphi(float(a)))
 
     def field(self, x):
         """h = dE/dx = phi'(A) dA/dx + b at one point."""

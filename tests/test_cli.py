@@ -6,12 +6,14 @@ import hashlib
 import io
 import json
 import math
+import pathlib
+import re
 
 import numpy as np
 import pytest
 from scipy.optimize import minimize_scalar
 
-from curieweiss import cli
+from curieweiss import cli, equilibrium
 from curieweiss.errors import InfeasibleMoments
 
 
@@ -99,7 +101,13 @@ def test_critical_other_spins_partial():
     res = rep["results"]
     assert res["g_c"] is None
     assert res["T_ms"] > res["T_c"] > 0.0
-    assert rep["residuals"]["T_ms"]["scan_based"] == 1.0
+    ms, tc = rep["residuals"]["T_ms"], rep["residuals"]["T_c"]
+    assert set(ms) == {"stationarity", "fold_eigenvalue", "continuous"}
+    assert set(tc) == {"stationarity", "degeneracy", "continuous"}
+    assert ms["continuous"] == tc["continuous"] == 0.0
+    for value in (ms["stationarity"], ms["fold_eigenvalue"], tc["stationarity"],
+                  tc["degeneracy"]):
+        assert value < 1e-12
 
 
 def test_critical_two_state_spinodal_closed_form():
@@ -110,22 +118,22 @@ def test_critical_two_state_spinodal_closed_form():
     t_ms = -peak.fun
     assert abs(t_ms - 0.4957863024) < 1e-9
     rep = run_json(["critical", "--l", "1", "--j4", "1"])
-    assert abs(rep["results"]["T_ms"] - t_ms) < 1e-5
-    assert rep["residuals"]["T_ms"]["bisection_width"] < 1e-5
+    assert abs(rep["results"]["T_ms"] - t_ms) < 1e-9
+    assert rep["residuals"]["T_ms"]["fold_eigenvalue"] < 1e-12
 
 
-def test_critical_minimizes_each_scan_temperature_once(monkeypatch):
-    temps = []
-    real = cli.minimize
+def test_critical_calls_no_minimize(monkeypatch):
+    calls = []
 
     def counting(params, **kwargs):
-        temps.append(params.temperature)
-        return real(params, **kwargs)
+        calls.append(params.temperature)
+        raise AssertionError("critical must not minimize")
 
     monkeypatch.setattr(cli, "minimize", counting)
-    run_json(["critical", "--l", "1", "--j4", "1"])
-    assert len(temps) == len(set(temps))
-    assert len(temps) <= 44
+    monkeypatch.setattr(equilibrium, "minimize", counting)
+    rep = run_json(["critical", "--l", "4", "--j4", "1"])
+    assert rep["results"]["T_ms"] > rep["results"]["T_c"] > 0.0
+    assert calls == []
 
 
 # --- 3. minima ---
@@ -250,7 +258,7 @@ def test_landscape_bytes_pinned(args, digest):
     "args, digest",
     [
         (["critical", "--temp", "0.4"],
-         "d2ffbb7dc496975aa5ba2654af08dfa615571005fbcca71ea1f6d55541c83eec"),
+         "26cb874058e44d08c02426ed26a08bf6f808b7b38308fd13f525fc6f7154ffbd"),
         (["symcheck", "--l", "3", "--samples", "200", "--seed", "1"],
          "ee7439434a87375e82c865d92e897ae605f53c6e730f9cd7ccce4a14b82c97ac"),
         (["oracle", "--l", "2", "--n-list", "5,20"],
@@ -367,6 +375,7 @@ def test_oracle_partial_and_failed():
         ["landscape", "--seed", "1"],  # options a command does not read
         ["minima", "--resolution", "5"],
         ["oracle", "--samples", "9"],
+        ["critical", "--seed", "1"],
     ],
 )
 def test_usage_errors(args):
@@ -386,6 +395,25 @@ def test_numerical_failure_exit_code(monkeypatch):
     assert "numerical failure" in err
     rc, _, _ = run(["minima", "--l", "0"])
     assert rc == cli.EXIT_USAGE
+
+
+def test_readme_option_table_matches_cli():
+    # the documented options of each command are the ones it accepts
+    text = (pathlib.Path(__file__).parent.parent / "README.md").read_text()
+    common = text[text.index("Every command takes"):text.index("Each command also")]
+
+    def flags(fragment):
+        return set(re.findall(r"`(--[a-z0-9-]+)`", fragment))
+
+    table = {cmd: flags(cell)
+             for cmd, cell in re.findall(r"^\| `(\w+)` +\|(.*)\|$", text, re.M)}
+    assert set(table) == set(cli._COMMANDS)
+    for cmd, further in table.items():
+        accepted = {"--" + key.replace("_", "-")
+                    for key, (_, _, readers) in cli._OPTIONS.items()
+                    if readers is None or cmd in readers}
+        assert flags(common) | further == accepted, cmd
+        assert not flags(common) & further, cmd
 
 
 def test_version_flag():

@@ -5,17 +5,21 @@ structural tests (tangency, degeneracy, scaling collapse) recompute the
 defining conditions in place rather than trusting stored constants.
 """
 
+import dataclasses
 import math
 from fractions import Fraction
 
 import numpy as np
 import pytest
+from scipy.optimize import minimize_scalar
 
 from curieweiss import (
     ModelParams,
     MomentVector,
+    NonConvergence,
     NoSolutionInBracket,
     SpinQuantum,
+    branch_thresholds,
     critical_coupling,
     critical_temperature,
     free_energy,
@@ -27,6 +31,7 @@ from curieweiss import (
     permutation_map_m,
     spinodal_temperature,
 )
+from curieweiss import equilibrium
 from curieweiss.equilibrium import _profile_curvature, _profile_slope, _profile_value
 
 L1 = SpinQuantum(2)
@@ -490,3 +495,107 @@ def test_profile_closed_forms_match_free_energy(couplings):
         assert abs(_profile_value(m2, t, *j, g) - ev.free_energy) < 1e-12
         assert abs(slope - ev.gradient[1]) < 1e-10 * max(1.0, abs(slope))
         assert abs(curvature - ev.hessian[1, 1]) < 1e-10 * max(1.0, abs(curvature))
+
+
+def test_minimize_nonconvergence_carries_best_endpoint(monkeypatch):
+    # no start passes the gradient test: the error carries the lowest
+    # endpoint as (moments, ThermoEval)
+    settle = equilibrium._settle
+    monkeypatch.setattr(equilibrium, "_settle", lambda k, u: (settle(k, u)[0], 1.0))
+    pr = ModelParams(L1, temperature=0.2, j4=1.0)
+    with pytest.raises(NonConvergence) as info:
+        minimize(pr)
+    moments, ev = info.value.best
+    assert abs(ev.free_energy - (-0.2502253885159645)) < 1e-9
+    assert abs(free_energy(pr, moments).free_energy - ev.free_energy) < 1e-9
+
+
+# --- 6. spinodal and critical temperature on the reflection-axis branch ---
+
+
+def broken_minimum(params, want_global):
+    """minimize finds a broken global minimum (or any broken minimum)."""
+    pm = paramagnet_moments(params.l).values
+    return any(
+        np.max(np.abs(r.m_star.values - pm)) > 1e-3
+        for r in minimize(params)
+        if r.classification == "global"
+        or (r.classification == "local" and not want_global)
+    )
+
+
+def test_branch_two_state_spinodal_closed_form():
+    # 2l = 1: the branch is q = tanh(kappa) at T = J4 q**3 / atanh(q)
+    peak = minimize_scalar(lambda q: -q**3 / math.atanh(q), bounds=(0.1, 0.99),
+                           method="bounded", options={"xatol": 1e-12})
+    ms, tc = branch_thresholds(ModelParams(SpinQuantum(1), temperature=0.3, j4=1.0))
+    assert abs(ms.value - (-peak.fun)) < 1e-9
+    assert abs(ms.value - 0.4957863024) < 1e-9
+    assert ms.residuals["fold_eigenvalue"] < 1e-12
+    assert ms.residuals["continuous"] == tc.residuals["continuous"] == 0.0
+    assert 0.0 < tc.value < ms.value
+
+
+@pytest.mark.parametrize(
+    "couplings",
+    [{"j4": 1.0}, {"j2": 0.3, "j4": 1.0}, {"j2": -0.2, "j4": 0.8, "j6": 0.3},
+     {"j4": 1.0, "j8": 0.5}],
+)
+def test_branch_matches_three_state_closed_forms(couplings):
+    pr = ModelParams(L1, temperature=0.3, **couplings)
+    ms, tc = branch_thresholds(pr)
+    closed_forms = (spinodal_temperature(pr), critical_temperature(pr))
+    for point, closed in zip((ms, tc), closed_forms):
+        assert point.kind == closed.kind
+        assert abs(point.value - closed.value) < 1e-12
+        np.testing.assert_allclose(point.order_param.values, closed.order_param.values,
+                                   atol=1e-12)
+        assert point.residuals["stationarity"] < 1e-12
+
+
+@pytest.mark.parametrize("twice_l, edge", [(1, 1.0), (3, 0.5)])
+def test_branch_continuous_transition(twice_l, edge):
+    # J2 alone orders continuously where the paramagnet turns unstable
+    l = SpinQuantum(twice_l)
+    ms, tc = branch_thresholds(ModelParams(l, temperature=0.3, j2=1.0))
+    for point in (ms, tc):
+        assert abs(point.value - edge) < 1e-14
+        assert point.residuals["continuous"] == 1.0
+        np.testing.assert_allclose(point.order_param.values,
+                                   paramagnet_moments(l).values, atol=1e-12)
+    assert ms.residuals["fold_eigenvalue"] < 1e-14
+
+
+@pytest.mark.parametrize(
+    "twice_l, couplings",
+    [(3, {"j4": 1.0}), (4, {"j4": 1.0}), (5, {"j4": 1.0}), (6, {"j4": 1.0}),
+     (6, {"j2": -0.1, "j4": 0.25})],  # T_c below 0.02 (|J2| + J4)
+)
+def test_branch_thresholds_bracketed_by_minimize(twice_l, couplings):
+    pr = ModelParams(SpinQuantum(twice_l), temperature=0.3, **couplings)
+    ms, tc = branch_thresholds(pr)
+    assert ms.value > tc.value > 0.0
+    for point, want_global in ((ms, False), (tc, True)):
+        for factor, expected in ((1 - 1e-3, True), (1 + 1e-3, False)):
+            at = dataclasses.replace(pr, temperature=point.value * factor)
+            assert broken_minimum(at, want_global) == expected
+
+
+def test_branch_metastable_without_crossing():
+    # the ordered state is metastable below T_ms but never the global one
+    pr = ModelParams(SpinQuantum(3), temperature=0.3, j2=-0.15, j4=0.25)
+    ms, tc = branch_thresholds(pr)
+    assert tc is None
+    assert abs(ms.value - 0.0198459) < 1e-6
+    below = dataclasses.replace(pr, temperature=ms.value * (1 - 1e-3))
+    assert broken_minimum(below, False) and not broken_minimum(below, True)
+
+
+def test_branch_thresholds_validation():
+    with pytest.raises(ValueError):
+        branch_thresholds(ModelParams(SpinQuantum(3), temperature=0.3, j4=1.0, g=0.1,
+                                      sector=Fraction(1, 2)))
+    with pytest.raises(NoSolutionInBracket):
+        branch_thresholds(ModelParams(SpinQuantum(3), temperature=0.3))
+    with pytest.raises(NoSolutionInBracket):
+        branch_thresholds(ModelParams(SpinQuantum(5), temperature=0.3, j2=-0.3, j4=0.2))
