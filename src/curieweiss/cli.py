@@ -319,10 +319,10 @@ def cmd_minima(cfg: dict) -> tuple[str, int]:
 
 def cmd_critical(cfg: dict) -> tuple[str, int]:
     params = _make_params(cfg)
-    if params.g != 0.0:
+    if params.g != 0.0 or params.h0 != 0.0:
         raise UsageError(
-            "critical expects g = 0; the coupling threshold is itself "
-            "computed as a function of --temp"
+            "critical expects g = 0 and h0 = 0: its thresholds are the bare "
+            "magnet's, and the coupling threshold is computed at --temp"
         )
 
     def attempt(solve):  # the threshold, or the error that makes it fail

@@ -2,8 +2,8 @@
 
 Minimization runs over the occupation simplex from a deterministic set
 of starts, each along one descent path in the log weights u (x =
-softmax(u)) toward the mean-field condition x ~ exp(-h(x)/T): Newton
-steps where F is locally convex, mean-field steps u <- -h/T elsewhere.
+softmax(u)) toward the mean-field condition x ~ exp(-h(x)/T), by Newton
+steps whose Hessian is shifted by twice any negative stability number.
 Stationary points are deduplicated by their weights, not their moments,
 and saddles are reported only when a start lands on one.  The
 three-state magnet additionally gets closed-form machinery along its
@@ -36,6 +36,7 @@ _DEDUP_TOL = 1e-6
 _DEGENERACY_TOL = 1e-8
 _SADDLE_TOL = -1e-8
 ITERATION_CAP = 10_000
+RANDOM_STARTS = 20
 
 
 @dataclass(frozen=True, eq=False)
@@ -106,14 +107,14 @@ def _settle(kernel: _Kernel, u: np.ndarray) -> tuple[np.ndarray, float]:
     Returns the final x and T max|res| there, the largest component of the
     tangent gradient of F in the weights.
 
-    Where the tangent Hessian is positive definite (_stability_eig > 0)
-    the step is Newton's: (I + H_E diag(x)/T) du = -res + c 1 with
-    x.du = 0.  Elsewhere it is the mean-field step du = -res, i.e.
-    u <- -h/T, whose slope -T Var_x(res) is never positive.  Steps
-    backtrack on F (Armijo).  Near convergence F moves by less than its
-    roundoff, so a Newton step that halves max|res| is also taken while F
-    does not rise beyond that.  Carrying u rather than x keeps
-    occupations far below the moment chart's resolution exact.
+    Each step is Newton's with the Hessian shifted by mu = max(0, -2 lambda),
+    lambda = _stability_eig: ((1 + mu/T) I + H_E diag(x)/T) du = -res + c 1,
+    x.du = 0.  In sqrt(x)-scaled tangent coordinates mu adds to the stability
+    matrix, so the factor 2 mirrors lambda < 0 to |lambda|: mu = 0 where F is
+    locally convex, and for large mu du tends to the mean-field step -res
+    times T/(T + mu).  Steps backtrack on F (Armijo), or, with F within its
+    roundoff, are taken if they halve max|res|.  Carrying u rather than x
+    keeps occupations far below the moment chart's resolution exact.
     """
     t = kernel.params.temperature
     n = u.size
@@ -124,12 +125,10 @@ def _settle(kernel: _Kernel, u: np.ndarray) -> tuple[np.ndarray, float]:
         size = np.max(np.abs(res))
         if size < 1e-13:
             break
-        newton = _stability_eig(kernel, x) > 0.0
-        du = -res
-        if newton:
-            kkt = np.block([[np.eye(n) + kernel.energy_hessian(x) * (x / t),
-                             -np.ones((n, 1))], [x[None, :], np.zeros((1, 1))]])
-            du = np.linalg.solve(kkt, np.append(-res, 0.0))[:n]
+        mu = max(0.0, -2.0 * _stability_eig(kernel, x))
+        hess = (1.0 + mu / t) * np.eye(n) + kernel.energy_hessian(x) * (x / t)
+        kkt = np.block([[hess, -np.ones((n, 1))], [x[None, :], np.zeros((1, 1))]])
+        du = np.linalg.solve(kkt, np.append(-res, 0.0))[:n]
         slope = t * float(x @ (res * du))
         step = 1.0
         while step > 1e-14:
@@ -137,7 +136,7 @@ def _settle(kernel: _Kernel, u: np.ndarray) -> tuple[np.ndarray, float]:
             f_new = kernel.value(x_new)
             res_new = _residual(kernel, u_new, x_new)
             if f_new < f + 1e-4 * step * slope or (
-                newton and f_new <= f + 1e-14 * max(1.0, abs(f))
+                f_new <= f + 1e-14 * max(1.0, abs(f))
                 and np.max(np.abs(res_new)) <= 0.5 * size
             ):
                 break
@@ -148,35 +147,33 @@ def _settle(kernel: _Kernel, u: np.ndarray) -> tuple[np.ndarray, float]:
     return x, t * float(np.max(np.abs(res)))
 
 
-def minimize(params: ModelParams, n_random: int = 20, seed: int = 0) -> list[Minimum]:
+def minimize(params: ModelParams, seed: int = 0) -> list[Minimum]:
     """Multi-start minimization of F over the occupation simplex.
 
     Starts: the paramagnet, every vertex pulled 1e-3 into the interior,
-    and ``n_random`` uniform simplex samples.  Each start descends along
-    one path (_settle: Newton where F is locally convex, mean-field
-    steps elsewhere).  Endpoints whose tangent gradient in the weights
-    (T times the final mean-field residual, exact in the log weights even
-    where occupations underflow) is below GRAD_TOL are deduplicated
-    within 1e-6 in the max norm of their weights and returned sorted by
-    free energy; points degenerate with the lowest are labeled "global",
-    the rest "local".  The descent leaves saddles, so a stationary point
-    with a negative Hessian direction is reported ("saddle-rejected")
-    only when a start lands on one, e.g. the symmetric paramagnet start.
-    Raises NonConvergence with the best iterate when no start converges.
-    Each orbit member is computed from the cyclically shifted weights,
-    not by iterating the affine map on moments, so it carries no
-    compounded roundoff.
+    and RANDOM_STARTS uniform simplex samples.  Each start descends by
+    shifted Newton steps (_settle: Newton's step where F is locally
+    convex, shifted toward the mean-field direction elsewhere).
+    Endpoints whose tangent gradient in the weights (T times the final
+    mean-field residual, exact in the log weights even where occupations
+    underflow) is below GRAD_TOL are deduplicated within 1e-6 in the max
+    norm of their weights and returned sorted by free energy; points
+    degenerate with the lowest are labeled "global", the rest "local".
+    The descent leaves saddles, so a stationary point with a negative
+    Hessian direction is reported ("saddle-rejected") only when a start
+    lands on one, e.g. the symmetric paramagnet start.  Raises
+    NonConvergence with the best iterate when no start converges.  Each
+    orbit member is computed from the cyclically shifted weights, not by
+    iterating the affine map on moments, so it carries no compounded
+    roundoff.
     """
     l = params.l
     n = l.n_states
     rng = np.random.default_rng(seed)
     uniform = np.full(n, 1.0 / n)
     starts = [uniform]
-    for j in range(n):
-        vertex = np.zeros(n)
-        vertex[j] = 1.0
-        starts.append(0.999 * vertex + 0.001 * uniform)
-    starts.extend(random_weights(l, rng, n_random))
+    starts.extend(0.999 * np.eye(n) + 0.001 * uniform)
+    starts.extend(random_weights(l, rng, RANDOM_STARTS))
 
     kernel = _Kernel(params)
     endpoints = []
@@ -263,6 +260,8 @@ def _profile_coeffs(params: ModelParams, op: str, with_g=False, bare=False):
     """(j2, j4, j6, j8, g) of the m1 = 0 profile; g is 0 unless with_g."""
     if params.l.twice_l != 2:
         raise ValueError(f"{op} is defined for twice_l = 2 only")
+    if params.h0 != 0.0:  # the profile's closed forms leave out the level shift
+        raise ValueError(f"{op} expects h0 = 0")
     if bare and params.g != 0.0:
         raise ValueError(f"{op} expects g = 0")
     g = params.g if with_g else 0.0

@@ -376,6 +376,7 @@ def test_oracle_partial_and_failed():
         ["minima", "--resolution", "5"],
         ["oracle", "--samples", "9"],
         ["critical", "--seed", "1"],
+        ["critical", "--h0", "0.1"],  # the thresholds are the bare magnet's
     ],
 )
 def test_usage_errors(args):

@@ -162,6 +162,12 @@ def test_temperature_solvers_validation():
     for solver in (spinodal_temperature, critical_temperature, critical_coupling):
         with pytest.raises(ValueError):
             solver(pr5)
+    # the m1 = 0 closed forms leave out the h0 level shift
+    shifted = ModelParams(L1, temperature=0.3, j4=1.0, h0=0.1)
+    for solver in (meanfield_m2, spinodal_temperature, critical_temperature,
+                   critical_coupling):
+        with pytest.raises(ValueError, match="h0 = 0"):
+            solver(shifted)
 
 
 # --- 3. coupling threshold ---
@@ -454,6 +460,50 @@ def test_minimize_keeps_ordered_minima_deep_in_order():
     for r in glo:
         assert abs(r.f_value - (-0.25)) < 1e-9
     assert abs(loc[0].f_value - (-0.0021972246)) < 1e-10
+
+
+@pytest.mark.parametrize(
+    "twice_l, couplings, n_global, f_global, eig_global",
+    [
+        # rings 0 < A < 1 along which the iterates read a stability number
+        # of about -3e-7 while the minimum itself is convex
+        (9, dict(temperature=0.01549, j2=0.219, j4=-0.42, j8=0.29),
+         10, -0.057286017394, 3.659086e-7),
+        (12, dict(temperature=0.07306, j2=0.866, j4=-0.379, j6=-0.427),
+         13, -0.352900396755, 1.2483425e-6),
+        # just below the continuous edge T = 0.5, and just above it
+        (4, dict(temperature=0.4995, j2=1.0, j4=-0.4), 5, -0.803914515442, 3.868359e-6),
+        (4, dict(temperature=0.5005, j2=1.0, j4=-0.4), 1, -0.5005 * math.log(5.0), 5e-4),
+    ],
+    ids=["ring-2l9", "ring-2l12", "below-edge-2l4", "above-edge-2l4"],
+)
+def test_minimize_settles_near_flat_valleys(monkeypatch, twice_l, couplings, n_global,
+                                            f_global, eig_global):
+    # _settle calls _stability_eig once per step
+    steps, calls = [], [0]
+    eig, settle = equilibrium._stability_eig, equilibrium._settle
+
+    def counted_eig(kernel, x):
+        calls[0] += 1
+        return eig(kernel, x)
+
+    def counted_settle(kernel, u):
+        calls[0] = 0
+        out = settle(kernel, u)
+        steps.append(calls[0])
+        return out
+
+    monkeypatch.setattr(equilibrium, "_stability_eig", counted_eig)
+    monkeypatch.setattr(equilibrium, "_settle", counted_settle)
+    res = minimize(ModelParams(SpinQuantum(twice_l), **couplings))
+    assert len(steps) == twice_l + 22 and max(steps) <= 200
+    glo, loc = split(res)
+    assert len(glo) == n_global and not loc
+    for r in glo:
+        assert abs(r.f_value - f_global) < 1e-11
+        assert abs(r.hessian_eigen_min - eig_global) < 1e-12
+    if n_global == 1:
+        assert len(res) == 1  # the paramagnet alone
 
 
 def test_minimize_orbit_exact_past_chart_resolution():
