@@ -38,6 +38,7 @@ from .errors import (
     NoSolutionInBracket,
 )
 from .oracle import (
+    MAX_RAW_CONFIGURATIONS,
     enumerate_ensemble,
     exact_free_energy,
     raw_config_free_energy,
@@ -414,8 +415,7 @@ def cmd_oracle(cfg: dict) -> tuple[str, int]:
         }
         if reference is not None:
             entry["gap_to_limit"] = f_n - reference["free_energy"]
-        d = params.l.n_states
-        if d**n <= 1_000_000:
+        if params.l.n_states**n <= MAX_RAW_CONFIGURATIONS:
             raw = raw_config_free_energy(params, n)
             entry["raw_check_rel"] = abs(f_n - raw) / max(abs(raw), 1e-30)
         entries.append(entry)

@@ -16,11 +16,12 @@ import numpy as np
 from scipy.special import gammaln, logsumexp
 
 from .errors import EnsembleTooLarge
-from .order_params import WeightVector, weights_to_moments_array
+from .order_params import FEASIBILITY_TOL, WeightVector, weights_to_moments_array
 from .spectrum import SpinQuantum
 from .thermo import ModelParams, _Kernel
 
 MAX_COMPOSITIONS = 2_000_000
+MAX_RAW_CONFIGURATIONS = 1_000_000
 _CHUNK = 1 << 18
 
 
@@ -47,16 +48,32 @@ class FiniteNEnsemble:
         return self.counts.shape[0]
 
 
+def _compositions(n_spins: int, d: int) -> np.ndarray:
+    """Every composition of n_spins into d parts, the last part slowest.
+
+    Each row with r spins left to place spawns r + 1 rows whose next part
+    runs 0..r; placing the parts last to first keeps colexicographic order.
+    """
+    counts, rest = np.empty((1, 0), dtype=np.int64), np.array([n_spins])
+    for _ in range(d - 1):
+        width = rest + 1
+        parent = np.repeat(np.arange(rest.size), width)
+        part = np.arange(parent.size) - np.repeat(np.cumsum(width) - width, width)
+        counts = np.column_stack((part, counts[parent]))
+        rest = rest[parent] - part
+    return np.column_stack((rest, counts))
+
+
 def enumerate_ensemble(
     l: SpinQuantum, n_spins: int, params: ModelParams | None = None
 ) -> FiniteNEnsemble:
     """Enumerate every composition of n_spins over the 2l+1 levels.
 
-    Rows come out in colexicographic order from an odometer walk, so the
-    table is reproducible.  Degeneracies and moments are filled in by
-    chunked vector math.  Raises EnsembleTooLarge above MAX_COMPOSITIONS
-    rows.  When ``params`` is given (same l required) the per-row energy
-    and Boltzmann log-weight are attached.
+    Rows come out in colexicographic order (the last part varies
+    slowest), so the table is reproducible.  Degeneracies and moments are
+    filled in by chunked vector math.  Raises EnsembleTooLarge above
+    MAX_COMPOSITIONS rows.  When ``params`` is given (same l required) the
+    per-row energy and Boltzmann log-weight are attached.
     """
     if n_spins < 1:
         raise ValueError("n_spins must be positive")
@@ -70,36 +87,19 @@ def enumerate_ensemble(
             f"exceeds the cap of {MAX_COMPOSITIONS}"
         )
 
-    counts = np.empty((m_total, d), dtype=np.int64)
-    c = [0] * d
-    c[0] = n_spins
-    for i in range(m_total):
-        counts[i] = c
-        if c[0] > 0:
-            c[0] -= 1
-            c[1] += 1
-            continue
-        j = 1
-        while c[j] == 0:
-            j += 1
-        if j == d - 1:
-            break  # (0, ..., 0, n): final row
-        c[j + 1] += 1
-        c[0] = c[j] - 1
-        c[j] = 0
-
+    counts = _compositions(n_spins, d)
     log_degeneracy = np.empty(m_total)
     moments = np.empty((m_total, l.twice_l))
     energy = np.empty(m_total) if params is not None else None
-    ln_nfact = gammaln(n_spins + 1)
+    kernel = _Kernel(params) if params is not None else None
+    ln_fact = gammaln(np.arange(n_spins + 1) + 1.0)
     for a in range(0, m_total, _CHUNK):
         b = min(a + _CHUNK, m_total)
-        block = counts[a:b].astype(float)
-        log_degeneracy[a:b] = ln_nfact - gammaln(block + 1.0).sum(axis=1)
-        x = block / n_spins
+        log_degeneracy[a:b] = ln_fact[n_spins] - ln_fact[counts[a:b]].sum(axis=1)
+        x = counts[a:b] / n_spins
         moments[a:b] = weights_to_moments_array(l, x)
         if params is not None:
-            energy[a:b] = _Kernel(params).energy(x)
+            energy[a:b] = kernel.energy(x)
 
     log_weight = None
     if params is not None:
@@ -139,11 +139,11 @@ def thermal_moments(ensemble: FiniteNEnsemble) -> np.ndarray:
 def raw_config_free_energy(params: ModelParams, n_spins: int) -> float:
     """Free energy by brute force over all (2l+1)**n_spins configurations.
 
-    Exists to validate the composition route; capped at a million states.
+    Exists to validate the composition route; capped at MAX_RAW_CONFIGURATIONS.
     """
     d = params.l.n_states
     total = d**n_spins
-    if total > 1_000_000:
+    if total > MAX_RAW_CONFIGURATIONS:
         raise EnsembleTooLarge(
             f"{total} raw configurations exceeds the brute-force cap"
         )
@@ -160,9 +160,14 @@ def nearest_composition(n_spins: int, weights: np.ndarray) -> np.ndarray:
     """Integer composition of n_spins closest to n_spins * weights.
 
     Largest-remainder rounding; ties go to the lower index so the result
-    is deterministic.
+    is deterministic.  Raises ValueError unless n_spins >= 1 and the
+    weights are at least -FEASIBILITY_TOL and sum to 1 (so are finite).
     """
-    scaled = n_spins * np.asarray(weights, dtype=float)
+    w = np.asarray(weights, dtype=float)
+    if n_spins < 1 or not ((w >= -FEASIBILITY_TOL).all()
+                           and abs(w.sum() - 1.0) <= 1e-9):
+        raise ValueError(f"need n_spins >= 1 and simplex weights, got {n_spins}, {w}")
+    scaled = n_spins * w
     base = np.floor(scaled).astype(np.int64)
     deficit = int(n_spins - base.sum())
     order = np.argsort(-(scaled - base), kind="stable")

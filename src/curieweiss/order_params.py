@@ -128,23 +128,25 @@ def moments_to_weights_array(l: SpinQuantum, m: np.ndarray) -> np.ndarray:
     return from_full[:, 0] + m @ from_full[:, 1:].T
 
 
+def _clamp_feasible(l: SpinQuantum, x: np.ndarray) -> np.ndarray:
+    """Weights x clamped at 0; InfeasibleMoments if any is below -FEASIBILITY_TOL."""
+    bad = np.nonzero(x < -FEASIBILITY_TOL)[0]
+    if bad.size:
+        sigmas = spectrum(l)
+        violations = [(sigmas[j], float(x[j])) for j in bad]
+        detail = ", ".join(f"x[{s}] = {v:.6e}" for s, v in violations)
+        raise InfeasibleMoments(f"moments outside the simplex image: {detail}",
+                                violations)
+    return np.where(x < 0.0, 0.0, x)
+
+
 def moments_to_weights(m: MomentVector) -> WeightVector:
     """Invert the moment chart back to simplex weights.
 
     Raises InfeasibleMoments when any weight is below -FEASIBILITY_TOL;
     weights within the tolerance band are clamped to zero.
     """
-    x = moments_to_weights_array(m.l, m.values)
-    if np.any(x < -FEASIBILITY_TOL):
-        sigmas = spectrum(m.l)
-        violations = [
-            (sigmas[j], float(x[j])) for j in np.nonzero(x < -FEASIBILITY_TOL)[0]
-        ]
-        detail = ", ".join(f"x[{s}] = {v:.6e}" for s, v in violations)
-        raise InfeasibleMoments(
-            f"moments outside the simplex image: {detail}", violations
-        )
-    x = np.where(x < 0.0, 0.0, x)
+    x = _clamp_feasible(m.l, moments_to_weights_array(m.l, m.values))
     return WeightVector(m.l, x / x.sum())
 
 
@@ -154,12 +156,11 @@ def feasibility(m: MomentVector) -> tuple[bool, list]:
     Returns (flag, violations); violations lists (sigma, weight) pairs
     below -FEASIBILITY_TOL.
     """
-    x = moments_to_weights_array(m.l, m.values)
-    bad = np.nonzero(x < -FEASIBILITY_TOL)[0]
-    if bad.size == 0:
-        return True, []
-    sigmas = spectrum(m.l)
-    return False, [(sigmas[j], float(x[j])) for j in bad]
+    try:
+        _clamp_feasible(m.l, moments_to_weights_array(m.l, m.values))
+    except InfeasibleMoments as exc:
+        return False, exc.violations
+    return True, []
 
 
 def paramagnet_moments(l: SpinQuantum) -> MomentVector:

@@ -38,6 +38,7 @@ from .order_params import (
     FEASIBILITY_TOL,
     MomentVector,
     _charts,
+    _clamp_feasible,
     moments_to_weights_array,
 )
 from .spectrum import SpinQuantum, spectrum, spectrum_array
@@ -220,14 +221,7 @@ def _feasible_weights(l: SpinQuantum, m) -> np.ndarray:
     m = np.asarray(m, dtype=float)
     if m.shape != (l.twice_l,):
         raise ValueError(f"expected {l.twice_l} moments, got shape {m.shape}")
-    x = moments_to_weights_array(l, m)
-    if np.any(x < -FEASIBILITY_TOL):
-        sigmas = spectrum(l)
-        bad = np.nonzero(x < -FEASIBILITY_TOL)[0]
-        detail = ", ".join(f"x[{sigmas[j]}] = {x[j]:.6e}" for j in bad)
-        raise InfeasibleMoments(f"infeasible moments: {detail}",
-                                [(sigmas[j], float(x[j])) for j in bad])
-    return np.where(x < 0.0, 0.0, x)
+    return _clamp_feasible(l, moments_to_weights_array(l, m))
 
 
 def alignment(m: MomentVector) -> float:

@@ -6,7 +6,7 @@ from fractions import Fraction
 
 import numpy as np
 import pytest
-from scipy.special import logsumexp
+from scipy.special import gammaln, logsumexp
 
 from curieweiss import (
     EnsembleTooLarge,
@@ -69,6 +69,28 @@ def test_composition_table_three_states():
     assert row.size == 1
     # 4! / (1! 1! 2!)
     assert abs(math.exp(ens.log_degeneracy[row[0]]) - 12.0) < 1e-9
+
+
+def _colex_compositions(n, d):
+    """Compositions of n into d parts by recursion, the last part slowest."""
+    if d == 1:
+        yield (n,)
+        return
+    for last in range(n + 1):
+        for head in _colex_compositions(n - last, d - 1):
+            yield head + (last,)
+
+
+@pytest.mark.parametrize(
+    "twice_l,n", [(1, 1), (1, 17), (2, 9), (4, 6), (9, 1), (9, 5), (20, 3)]
+)
+def test_rows_in_colexicographic_order(twice_l, n):
+    ens = enumerate_ensemble(SpinQuantum(twice_l), n)
+    expected = np.array(list(_colex_compositions(n, twice_l + 1)))
+    np.testing.assert_array_equal(ens.counts, expected)
+    # bit for bit; at 2l = 9 numpy's row sum over d >= 8 columns unrolls
+    ln_g = gammaln(n + 1) - gammaln(ens.counts + 1.0).sum(axis=1)
+    assert np.array_equal(ens.log_degeneracy, ln_g)
 
 
 def test_composition_counts():
@@ -199,6 +221,11 @@ def test_nearest_composition_rounding():
         c = nearest_composition(n, np.array([0.3, 0.41, 0.29]))
         assert c.sum() == n
         assert np.all(c >= 0)
+    # weights off the simplex, and N = 0, have no composition to round to
+    for n, w in ((10, [0.6, 0.6]), (10, [1.2, -0.2]), (10, [np.nan, 1.0]),
+                 (10, [np.inf, 1.0]), (0, [0.5, 0.5])):
+        with pytest.raises(ValueError):
+            nearest_composition(n, np.array(w))
 
 
 def test_stirling_error_decays():
