@@ -71,21 +71,22 @@ class CriticalPoint:
 # free minimization over the simplex
 
 
-def _stability_eig(kernel: _Kernel, x: np.ndarray) -> float:
+def _stability_eig(kernel: _Kernel, x: np.ndarray) -> np.ndarray:
     """Smallest eigenvalue of r (H_E + T diag(1/x)) r on the complement of r.
 
-    Here r = sqrt(x) and H_E is the energy Hessian in x.  The simplex
-    tangent directions are r*w with w orthogonal to r, so this is a
-    congruence of the tangent-space Hessian (and of the moment Hessian):
-    eigenvalue signs, and with them the minimum / saddle call, are kept.
-    The matrix is r H_E r + T*I, bounded even where occupations underflow
-    the moment chart, and a cyclic relabeling only permutes x, so every
-    member of one orbit gets the same number.
+    One value per row of x, shape (S, 2l+1).  Here r = sqrt(x) and H_E is
+    the energy Hessian in x.  The simplex tangent directions are r*w with w
+    orthogonal to r, so this is a congruence of the tangent-space Hessian
+    (and of the moment Hessian): eigenvalue signs, and with them the
+    minimum / saddle call, are kept.  The matrix is r H_E r + T*I, bounded
+    even where occupations underflow the moment chart, and a cyclic
+    relabeling only permutes x, so every member of one orbit gets the same
+    number.  Every product is stacked per row: no row depends on the others.
     """
     r = np.sqrt(x)
-    basis = np.linalg.qr(r[:, None], mode="complete")[0][:, 1:]
-    scaled = r[:, None] * kernel.energy_hessian(x) * r
-    return float(np.linalg.eigvalsh(basis.T @ scaled @ basis).min()) \
+    basis = np.linalg.qr(r[:, :, None], mode="complete")[0][..., 1:]
+    scaled = r[:, :, None] * kernel.energy_hessian(x[:, None])[:, 0] * r[:, None]
+    return np.linalg.eigvalsh(basis.swapaxes(1, 2) @ scaled @ basis).min(axis=-1) \
         + kernel.params.temperature
 
 
@@ -96,16 +97,16 @@ def _softmax(u: np.ndarray):
 
 
 def _residual(kernel: _Kernel, u: np.ndarray, x: np.ndarray) -> np.ndarray:
-    """h(x)/T + u less its x-weighted mean; zero exactly where x is stationary."""
-    r = kernel.field(x) / kernel.params.temperature + u
-    return r - x @ r
+    """h(x)/T + u less its x-weighted mean, per row; zero where x is stationary."""
+    r = kernel.field(x[:, None]) / kernel.params.temperature + u[:, None]
+    return (r - x[:, None] @ r.swapaxes(1, 2))[:, 0]
 
 
-def _settle(kernel: _Kernel, u: np.ndarray) -> tuple[np.ndarray, float]:
-    """Descend F from log weights u (x = softmax(u)).
+def _settle(kernel: _Kernel, u: np.ndarray):
+    """Descend F from every row of log weights u, shape (S, 2l+1), at once.
 
-    Returns the final x and T max|res| there, the largest component of the
-    tangent gradient of F in the weights.
+    Returns per row the final x = softmax(u), T max|res| there (the largest
+    component of the tangent gradient of F in the weights) and the steps.
 
     Each step is Newton's with the Hessian shifted by mu = max(0, -2 lambda),
     lambda = _stability_eig: ((1 + mu/T) I + H_E diag(x)/T) du = -res + c 1,
@@ -115,45 +116,62 @@ def _settle(kernel: _Kernel, u: np.ndarray) -> tuple[np.ndarray, float]:
     times T/(T + mu).  Steps backtrack on F (Armijo), or, with F within its
     roundoff, are taken if they halve max|res|.  Carrying u rather than x
     keeps occupations far below the moment chart's resolution exact.
+
+    Each step solves the stacked systems of the rows still live, and each
+    backtracking round re-evaluates only the rows still halving.  A row
+    retires once max|res| < 1e-13 or its step falls to 1e-14; every product
+    is stacked per row, so its path is the one it would take alone.
     """
     t = kernel.params.temperature
-    n = u.size
+    n = u.shape[1]
     u, x = _softmax(u)
-    f = kernel.value(x)
+    f = kernel.value(x[:, None])[:, 0]
     res = _residual(kernel, u, x)
+    size = np.abs(res).max(axis=-1)
+    steps, stuck = np.zeros(len(u), dtype=int), np.zeros(len(u), dtype=bool)
     for _ in range(ITERATION_CAP):
-        size = np.max(np.abs(res))
-        if size < 1e-13:
+        live = np.flatnonzero((size >= 1e-13) & ~stuck)
+        if not live.size:
             break
-        mu = max(0.0, -2.0 * _stability_eig(kernel, x))
-        hess = (1.0 + mu / t) * np.eye(n) + kernel.energy_hessian(x) * (x / t)
-        kkt = np.block([[hess, -np.ones((n, 1))], [x[None, :], np.zeros((1, 1))]])
-        du = np.linalg.solve(kkt, np.append(-res, 0.0))[:n]
-        slope = t * float(x @ (res * du))
-        step = 1.0
-        while step > 1e-14:
-            u_new, x_new = _softmax(u + step * du)
-            f_new = kernel.value(x_new)
+        steps[live] += 1
+        xl = x[live]
+        mu = np.maximum(0.0, -2.0 * _stability_eig(kernel, xl))
+        hess = (1.0 + mu / t)[:, None, None] * np.eye(n) \
+            + kernel.energy_hessian(xl[:, None])[:, 0] * (xl[:, None] / t)
+        kkt = np.block([[hess, -np.ones((live.size, n, 1))],
+                        [xl[:, None], np.zeros((live.size, 1, 1))]])
+        rhs = np.append(-res[live], np.zeros((live.size, 1)), axis=1)
+        du = np.linalg.solve(kkt, rhs[..., None])[:, :n, 0]
+        slope = t * (xl[:, None] @ (res[live] * du)[:, :, None])[:, 0, 0]
+        step = np.ones(live.size)
+        halving = np.arange(live.size)
+        while halving.size:
+            rows = live[halving]
+            u_new, x_new = _softmax(u[rows] + step[halving, None] * du[halving])
+            f_new = kernel.value(x_new[:, None])[:, 0]
             res_new = _residual(kernel, u_new, x_new)
-            if f_new < f + 1e-4 * step * slope or (
-                f_new <= f + 1e-14 * max(1.0, abs(f))
-                and np.max(np.abs(res_new)) <= 0.5 * size
-            ):
-                break
-            step *= 0.5
-        else:
-            break
-        u, x, f, res = u_new, x_new, f_new, res_new
-    return x, t * float(np.max(np.abs(res)))
+            size_new = np.abs(res_new).max(axis=-1)
+            f_old = f[rows]
+            ok = (f_new < f_old + 1e-4 * step[halving] * slope[halving]) | (
+                (f_new <= f_old + 1e-14 * np.maximum(1.0, np.abs(f_old)))
+                & (size_new <= 0.5 * size[rows]))
+            done = rows[ok]
+            u[done], x[done], f[done] = u_new[ok], x_new[ok], f_new[ok]
+            res[done], size[done] = res_new[ok], size_new[ok]
+            halving = halving[~ok]
+            step[halving] *= 0.5
+            stuck[live[halving[step[halving] <= 1e-14]]] = True
+            halving = halving[step[halving] > 1e-14]
+    return x, t * size, steps
 
 
 def minimize(params: ModelParams, seed: int = 0) -> list[Minimum]:
     """Multi-start minimization of F over the occupation simplex.
 
     Starts: the paramagnet, every vertex pulled 1e-3 into the interior,
-    and RANDOM_STARTS uniform simplex samples.  Each start descends by
-    shifted Newton steps (_settle: Newton's step where F is locally
-    convex, shifted toward the mean-field direction elsewhere).
+    and RANDOM_STARTS uniform simplex samples.  All starts descend as one
+    batch by shifted Newton steps (_settle: Newton's step where F is
+    locally convex, shifted toward the mean-field direction elsewhere).
     Endpoints whose tangent gradient in the weights (T times the final
     mean-field residual, exact in the log weights even where occupations
     underflow) is below GRAD_TOL are deduplicated within 1e-6 in the max
@@ -171,51 +189,42 @@ def minimize(params: ModelParams, seed: int = 0) -> list[Minimum]:
     n = l.n_states
     rng = np.random.default_rng(seed)
     uniform = np.full(n, 1.0 / n)
-    starts = [uniform]
-    starts.extend(0.999 * np.eye(n) + 0.001 * uniform)
-    starts.extend(random_weights(l, rng, RANDOM_STARTS))
+    starts = np.vstack([uniform, 0.999 * np.eye(n) + 0.001 * uniform,
+                        random_weights(l, rng, RANDOM_STARTS)])
 
     kernel = _Kernel(params)
-    endpoints = []
-    for x0 in starts:
-        x, tangent_grad = _settle(kernel, np.log(x0))
-        # renormalized as free_energy_weights does, so F agrees bit for bit
-        endpoints.append((float(kernel.value(x / x.sum())), x, tangent_grad < GRAD_TOL))
-    candidates = [(f, x) for f, x, converged in endpoints if converged]
-    if not candidates:
-        x = min(endpoints, key=lambda e: e[0])[1]
+    x, tangent_grad, _ = _settle(kernel, np.log(starts))
+    # renormalized as free_energy_weights does; a**k on rows can differ from
+    # its scalar pow in the last bit, so F agrees with it to about 1e-16
+    f = kernel.value((x / x.sum(axis=-1, keepdims=True))[:, None])[:, 0]
+    converged = np.flatnonzero(tangent_grad < GRAD_TOL)
+    if not converged.size:
+        best = x[np.argmin(f)]
         raise NonConvergence(
             f"no start converged below gradient tolerance {GRAD_TOL}",
-            best=(weights_to_moments_array(l, x), free_energy_weights(params, x)),
+            best=(weights_to_moments_array(l, best), free_energy_weights(params, best)),
         )
 
-    candidates.sort(key=lambda c: c[0])
     kept = []
-    for f, x in candidates:
-        if all(np.max(np.abs(x - x_prev)) >= _DEDUP_TOL for _, x_prev, _ in kept):
-            kept.append((f, x, _stability_eig(kernel, x)))
+    for i in converged[np.argsort(f[converged], kind="stable")]:
+        if not kept or np.abs(x[i] - x[kept]).max(axis=-1).min() >= _DEDUP_TOL:
+            kept.append(i)
+    eigs = _stability_eig(kernel, x[kept])
 
-    true_minima = [f for f, _, e in kept if e > _SADDLE_TOL]
-    f_best = min(true_minima) if true_minima else kept[0][0]
+    true_minima = f[kept][eigs > _SADDLE_TOL]
+    f_best = true_minima.min() if true_minima.size else f[kept[0]]
     out = []
-    for f, x, eig_min in kept:
+    for i, eig_min in zip(kept, eigs):
         if eig_min < _SADDLE_TOL:
             label = "saddle-rejected"
-        elif f <= f_best + _DEGENERACY_TOL:
+        elif f[i] <= f_best + _DEGENERACY_TOL:
             label = "global"
         else:
             label = "local"
-        orbit = [MomentVector(l, weights_to_moments_array(l, np.roll(x, k)))
+        orbit = [MomentVector(l, weights_to_moments_array(l, np.roll(x[i], k)))
                  for k in range(n)]
-        out.append(
-            Minimum(
-                m_star=orbit[0],
-                f_value=f,
-                classification=label,
-                hessian_eigen_min=eig_min,
-                orbit=orbit,
-            )
-        )
+        out.append(Minimum(m_star=orbit[0], f_value=float(f[i]), classification=label,
+                           hessian_eigen_min=float(eig_min), orbit=orbit))
     return out
 
 
@@ -276,7 +285,7 @@ def _sign_change_roots(f, grid):
     f must accept the grid as an array.
     """
     vals = np.asarray(f(grid), dtype=float)
-    out = [float(v) for v, fv in zip(grid, vals) if fv == 0.0]
+    out = grid[vals == 0.0].tolist()
     for i in np.nonzero(vals[:-1] * vals[1:] < 0.0)[0]:
         out.append(
             float(brentq(f, grid[i], grid[i + 1], xtol=1e-300, rtol=1e-14))
@@ -488,7 +497,7 @@ def branch_thresholds(params: ModelParams) -> tuple[CriticalPoint, CriticalPoint
         for k in _sign_change_roots(lambda k: branch(k)[2], kappa):
             x, t, _, _ = branch(k * (1.0 + 1e-3))
             if t <= 0.0 or _stability_eig(_Kernel(replace(params, temperature=t)),
-                                          x) <= 0.0:
+                                          x[None])[0] <= 0.0:
                 continue
             folds[branch(k)[1]] = k * c
             gaps = _sign_change_roots(lambda k: branch(k)[3],
@@ -507,10 +516,11 @@ def branch_thresholds(params: ModelParams) -> tuple[CriticalPoint, CriticalPoint
         x = _softmax(u)[1]
         m = MomentVector(params.l, weights_to_moments_array(params.l, x))
         return CriticalPoint(kind, float(t), m, {
-            "stationarity": float(t * np.max(np.abs(_residual(at, u, x)))),
+            "stationarity": float(t * np.abs(_residual(at, u[None], x[None])).max()),
             name: abs(float(check(at, x))), "continuous": continuous})
 
-    return (point("spinodal", folds, "fold_eigenvalue", _stability_eig),
+    return (point("spinodal", folds, "fold_eigenvalue",
+                  lambda at, x: _stability_eig(at, x[None])[0]),
             point("critical_temperature", crossings, "degeneracy",
                   lambda at, x: at.value(x) + at.params.temperature * math.log(n))
             if crossings else None)

@@ -42,6 +42,8 @@ class WeightVector:
             raise ValueError(
                 f"expected {self.l.n_states} weights, got shape {w.shape}"
             )
+        if not np.all(np.isfinite(w)):
+            raise ValueError("weights must be finite")
         if np.any(w < -_VALIDATION_TOL):
             bad = int(np.argmin(w))
             raise ValueError(

@@ -18,10 +18,11 @@ b, so the free energy per spin is F = phi(A) + b.x - T*S with the entropy
 S = -sum x ln x.
 
 One private kernel (_Kernel) evaluates F, its x-gradient and the energy
-Hessian for one point or a batch of rows; the minimizer and the finite-N
-oracle call it directly.  The public functions take moments: they invert
-the affine chart x(m) and pull derivatives back by the chain rule,
-W^T g and W^T H W with W = dx/dm, in one place (_evaluate).
+Hessian for one point or for points along leading batch axes; the
+minimizer and the finite-N oracle call it directly.  The public functions
+take moments: they invert the affine chart x(m) and pull derivatives back
+by the chain rule, W^T g and W^T H W with W = dx/dm, in one place
+(_evaluate).
 """
 
 from __future__ import annotations
@@ -68,6 +69,9 @@ class ModelParams:
     h0: float = 0.0
 
     def __post_init__(self):
+        for name in ("temperature", "j2", "j4", "j6", "j8", "g", "h0"):
+            if not math.isfinite(getattr(self, name)):
+                raise ValueError(f"{name} must be finite, got {getattr(self, name)}")
         if not self.temperature > 0:
             raise ValueError(f"temperature must be > 0, got {self.temperature}")
         if self.g < 0:
@@ -125,7 +129,7 @@ def _entropy(x: np.ndarray):
 
 
 class _Kernel:
-    """F = phi(A) + b.x - T*S at weights x of shape (2l+1,) or (M, 2l+1)."""
+    """F = phi(A) + b.x - T*S at weights x of shape (..., 2l+1)."""
 
     def __init__(self, params: ModelParams):
         l = params.l
@@ -158,24 +162,30 @@ class _Kernel:
                 -0.5 * (pr.j4 + 2 * pr.j6 * a + 3 * pr.j8 * a**2))
 
     def _slopes(self, x):
-        """dA/dx, phi'(A) and phi''(A) at one point."""
+        """dA/dx, phi'(A) and phi''(A) per point, the last two with a unit axis.
+
+        A stays a numpy scalar for one point; with x of shape (S, 1, 2l+1)
+        every product is stacked, so no row's bits depend on the other rows.
+        """
         pq, a = _mean_phase(self.table, x)
-        return (self.table @ (2.0 * pq), *self.dphi(float(a)))
+        d1, d2 = self.dphi(a)
+        return (self.table @ (2.0 * pq)[..., None])[..., 0], d1[..., None], d2[..., None]
 
     def field(self, x):
-        """h = dE/dx = phi'(A) dA/dx + b at one point."""
+        """h = dE/dx = phi'(A) dA/dx + b per point."""
         da, d1, _ = self._slopes(x)
         return d1 * da + self.b
 
     def gradient(self, x):
-        """dF/dx at one point; empty occupations are read at _EMPTY."""
+        """dF/dx per point; empty occupations are read at _EMPTY."""
         return self.field(x) \
             + self.params.temperature * (np.log(np.maximum(x, _EMPTY)) + 1.0)
 
     def energy_hessian(self, x):
-        """d2E/dx2 = 2 phi'(A) (c c^T + s s^T) + phi''(A) a a^T at one point."""
+        """d2E/dx2 = 2 phi'(A) (c c^T + s s^T) + phi''(A) a a^T, per point."""
         da, d1, d2 = self._slopes(x)
-        return 2.0 * d1 * (self.table @ self.table.T) + d2 * np.outer(da, da)
+        return 2.0 * d1[..., None] * (self.table @ self.table.T) \
+            + d2[..., None] * (da[..., :, None] * da[..., None, :])
 
 
 def _evaluate(params: ModelParams, x: np.ndarray) -> ThermoEval:

@@ -377,12 +377,32 @@ def test_oracle_partial_and_failed():
         ["oracle", "--samples", "9"],
         ["critical", "--seed", "1"],
         ["critical", "--h0", "0.1"],  # the thresholds are the bare magnet's
+        ["oracle", "--n-list", "3", "--g", "nan", "--sector", "0"],  # non-finite
+        ["landscape", "--j2", "inf"],
+        ["minima", "--temp", "inf"],
+        ["minima", "--h0", "-inf"],
     ],
 )
 def test_usage_errors(args):
     rc, _, err = run(args)
     assert rc == cli.EXIT_USAGE
     assert err.strip()
+
+
+def test_main_sequence_behaves_as_fresh_processes():
+    # main reuses one parser per process; each call must still behave as the
+    # same call on a freshly built parser
+    sequence = [["minima", "--l", "3"], ["minima", "--resolution", "5"],
+                ["oracle", "--n-list", "3,5"], ["--help"]]
+    fresh = []
+    for args in sequence:
+        cli._build_parser.cache_clear()
+        fresh.append(run(args))
+    cli._build_parser.cache_clear()
+    assert [run(args) for args in sequence] == fresh
+    assert cli._build_parser.cache_info().misses == 1
+    assert [rc for rc, _, _ in fresh] == [cli.EXIT_OK, cli.EXIT_USAGE, cli.EXIT_OK, 0]
+    assert fresh[1][2].startswith("usage:") and fresh[3][1].startswith("usage:")
 
 
 def test_numerical_failure_exit_code(monkeypatch):

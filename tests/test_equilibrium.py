@@ -479,22 +479,15 @@ def test_minimize_keeps_ordered_minima_deep_in_order():
 )
 def test_minimize_settles_near_flat_valleys(monkeypatch, twice_l, couplings, n_global,
                                             f_global, eig_global):
-    # _settle calls _stability_eig once per step
-    steps, calls = [], [0]
-    eig, settle = equilibrium._stability_eig, equilibrium._settle
+    # _settle returns the number of steps each start took
+    steps, settle = [], equilibrium._settle
 
-    def counted_eig(kernel, x):
-        calls[0] += 1
-        return eig(kernel, x)
-
-    def counted_settle(kernel, u):
-        calls[0] = 0
+    def recorded_settle(kernel, u):
         out = settle(kernel, u)
-        steps.append(calls[0])
+        steps.extend(out[2])
         return out
 
-    monkeypatch.setattr(equilibrium, "_stability_eig", counted_eig)
-    monkeypatch.setattr(equilibrium, "_settle", counted_settle)
+    monkeypatch.setattr(equilibrium, "_settle", recorded_settle)
     res = minimize(ModelParams(SpinQuantum(twice_l), **couplings))
     assert len(steps) == twice_l + 22 and max(steps) <= 200
     glo, loc = split(res)
@@ -504,6 +497,28 @@ def test_minimize_settles_near_flat_valleys(monkeypatch, twice_l, couplings, n_g
         assert abs(r.hessian_eigen_min - eig_global) < 1e-12
     if n_global == 1:
         assert len(res) == 1  # the paramagnet alone
+
+
+@pytest.mark.parametrize("twice_l", range(1, 13))
+def test_settle_rows_independent_of_the_batch(monkeypatch, twice_l):
+    # each start of minimize descends as it would alone: the stacked
+    # descent and stability numbers equal 1-row calls bit for bit
+    pr = ModelParams(SpinQuantum(twice_l), temperature=0.15, j2=0.2, j4=0.8,
+                     j6=0.15, j8=-0.1, g=0.05, sector=Fraction(twice_l, 2),
+                     h0=0.05 if twice_l == 2 else 0.0)
+    calls, settle = [], equilibrium._settle
+    monkeypatch.setattr(equilibrium, "_settle",
+                        lambda kernel, u: calls.append((kernel, u)) or settle(kernel, u))
+    minimize(pr)
+    kernel, u = calls[0]
+    assert u.shape == (twice_l + 22, twice_l + 1)
+    x, tangent_grad, steps = settle(kernel, u)
+    eig = equilibrium._stability_eig(kernel, x)
+    for i in range(len(u)):
+        xi, grad_i, steps_i = settle(kernel, u[i:i + 1])
+        assert np.array_equal(xi[0], x[i])
+        assert grad_i[0] == tangent_grad[i] and steps_i[0] == steps[i]
+        assert equilibrium._stability_eig(kernel, x[i:i + 1])[0] == eig[i]
 
 
 def test_minimize_orbit_exact_past_chart_resolution():
@@ -551,7 +566,12 @@ def test_minimize_nonconvergence_carries_best_endpoint(monkeypatch):
     # no start passes the gradient test: the error carries the lowest
     # endpoint as (moments, ThermoEval)
     settle = equilibrium._settle
-    monkeypatch.setattr(equilibrium, "_settle", lambda k, u: (settle(k, u)[0], 1.0))
+
+    def unconverged_settle(kernel, u):
+        x, tangent_grad, steps = settle(kernel, u)
+        return x, np.ones_like(tangent_grad), steps
+
+    monkeypatch.setattr(equilibrium, "_settle", unconverged_settle)
     pr = ModelParams(L1, temperature=0.2, j4=1.0)
     with pytest.raises(NonConvergence) as info:
         minimize(pr)

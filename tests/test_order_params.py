@@ -247,6 +247,13 @@ def test_feasibility_violations_reported():
     assert ok and violations == []
 
 
+@pytest.mark.parametrize("weights", [(np.nan, 0.5, 0.5), (np.inf, 0.5, 0.5),
+                                     (0.5, -np.inf, 0.5)])
+def test_weight_vector_rejects_non_finite(weights):
+    with pytest.raises(ValueError, match="finite"):
+        WeightVector(SpinQuantum(2), weights)
+
+
 def test_moments_to_weights_raises_outside_simplex():
     l = SpinQuantum(2)
     with pytest.raises(InfeasibleMoments):

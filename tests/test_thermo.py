@@ -301,6 +301,10 @@ def test_params_validation():
         ModelParams(l, temperature=0.3, g=0.2, sector=Fraction(1, 2))
     with pytest.raises(ValueError):
         ModelParams(SpinQuantum(3), temperature=0.3, h0=0.5)
+    for name in ("temperature", "j2", "j4", "j6", "j8", "g", "h0"):
+        for bad in (math.nan, math.inf, -math.inf):
+            with pytest.raises(ValueError, match=f"{name} must be finite"):
+                ModelParams(l, **{"temperature": 0.3, "sector": Fraction(1), name: bad})
 
 
 def test_batch_matches_scalar():
