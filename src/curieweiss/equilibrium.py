@@ -6,11 +6,12 @@ softmax(u)) toward the mean-field condition x ~ exp(-h(x)/T), by Newton
 steps whose Hessian is shifted by twice any negative stability number.
 Stationary points are deduplicated by their weights, not their moments,
 and saddles are reported only when a start lands on one.  The
-three-state magnet additionally gets closed-form machinery along its
-symmetric m1 = 0 profile: the mean-field root, the spinodal and critical
-temperatures, and the coupling threshold above which nothing blocks
-registration.  For every l, branch_thresholds finds the spinodal and
-critical temperatures on the explicit reflection-axis branches.
+three-state magnet additionally gets closed forms along its symmetric
+m1 = 0 profile, all read from one F(m2, T) object with h0 = 0: the
+mean-field root (g in sector 0 allowed) and, for the bare magnet, the
+spinodal and critical temperatures and the coupling threshold above which
+nothing blocks registration.  For every l, branch_thresholds finds the
+spinodal and critical temperatures on the explicit reflection-axis branches.
 """
 
 from __future__ import annotations
@@ -25,10 +26,10 @@ from scipy.optimize import brentq
 from .errors import NoSolutionInBracket, NonConvergence
 from .order_params import (
     MomentVector,
-    paramagnet_moments,
     random_weights,
     weights_to_moments_array,
 )
+from .spectrum import SpinQuantum
 from .thermo import ModelParams, _entropy, _Kernel, free_energy_weights
 
 GRAD_TOL = 1e-8
@@ -71,11 +72,12 @@ class CriticalPoint:
 # free minimization over the simplex
 
 
-def _stability_eig(kernel: _Kernel, x: np.ndarray) -> np.ndarray:
+def _stability_eig(t: float, x: np.ndarray, hess: np.ndarray) -> np.ndarray:
     """Smallest eigenvalue of r (H_E + T diag(1/x)) r on the complement of r.
 
-    One value per row of x, shape (S, 2l+1).  Here r = sqrt(x) and H_E is
-    the energy Hessian in x.  The simplex tangent directions are r*w with w
+    One value per row of x, shape (S, 2l+1).  Here r = sqrt(x) and hess
+    holds the energy Hessian H_E in x at each row, shape (S, 2l+1, 2l+1);
+    it does not depend on T.  The simplex tangent directions are r*w with w
     orthogonal to r, so this is a congruence of the tangent-space Hessian
     (and of the moment Hessian): eigenvalue signs, and with them the
     minimum / saddle call, are kept.  The matrix is r H_E r + T*I, bounded
@@ -85,9 +87,8 @@ def _stability_eig(kernel: _Kernel, x: np.ndarray) -> np.ndarray:
     """
     r = np.sqrt(x)
     basis = np.linalg.qr(r[:, :, None], mode="complete")[0][..., 1:]
-    scaled = r[:, :, None] * kernel.energy_hessian(x[:, None])[:, 0] * r[:, None]
-    return np.linalg.eigvalsh(basis.swapaxes(1, 2) @ scaled @ basis).min(axis=-1) \
-        + kernel.params.temperature
+    scaled = r[:, :, None] * hess * r[:, None]
+    return np.linalg.eigvalsh(basis.swapaxes(1, 2) @ scaled @ basis).min(axis=-1) + t
 
 
 def _softmax(u: np.ndarray):
@@ -135,9 +136,9 @@ def _settle(kernel: _Kernel, u: np.ndarray):
             break
         steps[live] += 1
         xl = x[live]
-        mu = np.maximum(0.0, -2.0 * _stability_eig(kernel, xl))
-        hess = (1.0 + mu / t)[:, None, None] * np.eye(n) \
-            + kernel.energy_hessian(xl[:, None])[:, 0] * (xl[:, None] / t)
+        h_e = kernel.energy_hessian(xl[:, None])[:, 0]
+        mu = np.maximum(0.0, -2.0 * _stability_eig(t, xl, h_e))
+        hess = (1.0 + mu / t)[:, None, None] * np.eye(n) + h_e * (xl[:, None] / t)
         kkt = np.block([[hess, -np.ones((live.size, n, 1))],
                         [xl[:, None], np.zeros((live.size, 1, 1))]])
         rhs = np.append(-res[live], np.zeros((live.size, 1)), axis=1)
@@ -209,7 +210,9 @@ def minimize(params: ModelParams, seed: int = 0) -> list[Minimum]:
     for i in converged[np.argsort(f[converged], kind="stable")]:
         if not kept or np.abs(x[i] - x[kept]).max(axis=-1).min() >= _DEDUP_TOL:
             kept.append(i)
-    eigs = _stability_eig(kernel, x[kept])
+    x_kept = x[kept]
+    eigs = _stability_eig(params.temperature, x_kept,
+                          kernel.energy_hessian(x_kept[:, None])[:, 0])
 
     true_minima = f[kept][eigs > _SADDLE_TOL]
     f_best = true_minima.min() if true_minima.size else f[kept[0]]
@@ -239,59 +242,96 @@ def orbit(minimum: Minimum) -> list[MomentVector]:
 _M2_TOP = 2.0 / 3.0
 
 
-def _profile_value(m2, t, j2, j4, j6, j8, g):
-    p = 1.0 - 1.5 * m2
-    e = -(j2 / 2) * p**2 - (j4 / 4) * p**4 - (j6 / 6) * p**6 - (j8 / 8) * p**8 \
-        - g * p
-    ent = 0.0
-    if m2 < 1.0:
-        ent -= (1.0 - m2) * math.log(1.0 - m2)
-    if m2 > 0.0:
-        ent -= m2 * math.log(m2 / 2.0)
-    return e - t * ent
+def _sign_change_roots(f, grid, *args):
+    """Roots of f(., *args) bracketed by consecutive grid points, refined by brentq.
+
+    f must accept the grid as an array.
+    """
+    vals = np.asarray(f(grid, *args), dtype=float)
+    out = grid[vals == 0.0].tolist()
+    for i in np.nonzero(vals[:-1] * vals[1:] < 0.0)[0]:
+        out.append(
+            float(brentq(f, grid[i], grid[i + 1], args=args, xtol=1e-300, rtol=1e-14))
+        )
+    out.sort()
+    return out
 
 
-def _profile_slope(m2, t, j2, j4, j6, j8, g):
-    p = 1.0 - 1.5 * m2
-    field = 1.5 * (j2 * p + j4 * p**3 + j6 * p**5 + j8 * p**7 + g)
-    return field + t * np.log(m2 / (2.0 * (1.0 - m2)))
+@dataclass(frozen=True)
+class _Profile:
+    """F(m2, T) of the three-state magnet along m1 = 0, weights (m2/2, 1 - m2, m2/2).
+
+    p = 1 - 1.5 m2 is the mean phase there; g is the sector-0 coupling.
+    """
+
+    j2: float
+    j4: float
+    j6: float
+    j8: float
+    g: float
+
+    def value(self, m2, t):
+        p = 1.0 - 1.5 * m2
+        e = -(self.j2 / 2) * p**2 - (self.j4 / 4) * p**4 - (self.j6 / 6) * p**6 \
+            - (self.j8 / 8) * p**8 - self.g * p
+        ent = 0.0
+        if m2 < 1.0:
+            ent -= (1.0 - m2) * math.log(1.0 - m2)
+        if m2 > 0.0:
+            ent -= m2 * math.log(m2 / 2.0)
+        return e - t * ent
+
+    def slope(self, m2, t):
+        p = 1.0 - 1.5 * m2
+        field = 1.5 * (self.j2 * p + self.j4 * p**3 + self.j6 * p**5 + self.j8 * p**7
+                       + self.g)
+        return field + t * np.log(m2 / (2.0 * (1.0 - m2)))
+
+    def curvature(self, m2, t):
+        p = 1.0 - 1.5 * m2
+        return (
+            -2.25 * self.j2 - 6.75 * self.j4 * p**2 - 11.25 * self.j6 * p**4
+            - 15.75 * self.j8 * p**6 + t / (m2 * (1.0 - m2))
+        )
+
+    def root(self, t):
+        """Smallest root of slope(., t) on (0, 2/3); see meanfield_m2."""
+        floor = 1e-250
+        top = _M2_TOP * (1.0 - 1e-12)
+        if self.slope(floor, t) > 0.0:
+            return 0.0
+        breaks = _sign_change_roots(self.curvature, np.geomspace(1e-12, top, 3000), t)
+        edges = [floor] + [b for b in breaks if floor < b < top] + [top]
+        for a, b in zip(edges, edges[1:]):
+            fa, fb = self.slope(a, t), self.slope(b, t)
+            if fa == 0.0:
+                return float(a)
+            if fa * fb < 0.0:
+                return float(brentq(self.slope, a, b, (t,), xtol=1e-300, rtol=1e-14))
+        raise NoSolutionInBracket(
+            "no ferromagnetic branch: the profile slope never turns positive "
+            f"below m2 = 2/3 at T = {t}"
+        )
+
+    def point(self, kind, value, m2, residuals):
+        """CriticalPoint at moments (0, m2); nonzero j2/j6/j8 flag extrapolation."""
+        flag = float(self.j2 != 0.0 or self.j6 != 0.0 or self.j8 != 0.0)
+        m = MomentVector(SpinQuantum(2), np.array([0.0, m2]))
+        return CriticalPoint(kind, value, m, {**residuals, "extrapolation": flag})
 
 
-def _profile_curvature(m2, t, j2, j4, j6, j8):
-    p = 1.0 - 1.5 * m2
-    return (
-        -2.25 * j2 - 6.75 * j4 * p**2 - 11.25 * j6 * p**4 - 15.75 * j8 * p**6
-        + t / (m2 * (1.0 - m2))
-    )
-
-
-def _profile_coeffs(params: ModelParams, op: str, with_g=False, bare=False):
-    """(j2, j4, j6, j8, g) of the m1 = 0 profile; g is 0 unless with_g."""
+def _profile(params: ModelParams, op: str, with_g=False) -> _Profile:
+    """The m1 = 0 profile of params; g is read only with_g and must be 0 otherwise."""
     if params.l.twice_l != 2:
         raise ValueError(f"{op} is defined for twice_l = 2 only")
     if params.h0 != 0.0:  # the profile's closed forms leave out the level shift
         raise ValueError(f"{op} expects h0 = 0")
-    if bare and params.g != 0.0:
+    if not with_g and params.g != 0.0:
         raise ValueError(f"{op} expects g = 0")
-    g = params.g if with_g else 0.0
-    if g > 0 and params.sector is not None and params.sector != 0:
+    if params.g > 0 and params.sector != 0:
         raise ValueError("the coupled m1 = 0 profile is the sector-0 one")
-    return params.j2, params.j4, params.j6, params.j8, g
-
-
-def _sign_change_roots(f, grid):
-    """Roots of f bracketed by consecutive grid points, refined by brentq.
-
-    f must accept the grid as an array.
-    """
-    vals = np.asarray(f(grid), dtype=float)
-    out = grid[vals == 0.0].tolist()
-    for i in np.nonzero(vals[:-1] * vals[1:] < 0.0)[0]:
-        out.append(
-            float(brentq(f, grid[i], grid[i + 1], xtol=1e-300, rtol=1e-14))
-        )
-    out.sort()
-    return out
+    return _Profile(params.j2, params.j4, params.j6, params.j8,
+                    params.g if with_g else 0.0)
 
 
 def meanfield_m2(params: ModelParams) -> float:
@@ -307,31 +347,7 @@ def meanfield_m2(params: ModelParams) -> float:
     representable m2 the branch sits below double-precision range and
     the boundary value 0.0 is returned.
     """
-    j2, j4, j6, j8, g = _profile_coeffs(params, "meanfield_m2", with_g=True)
-    t = params.temperature
-
-    def slope(m2):
-        return _profile_slope(m2, t, j2, j4, j6, j8, g)
-
-    def curvature(m2):
-        return _profile_curvature(m2, t, j2, j4, j6, j8)
-
-    floor = 1e-250
-    top = _M2_TOP * (1.0 - 1e-12)
-    if slope(floor) > 0.0:
-        return 0.0
-    breaks = _sign_change_roots(curvature, np.geomspace(1e-12, top, 3000))
-    edges = [floor] + [b for b in breaks if floor < b < top] + [top]
-    for a, b in zip(edges, edges[1:]):
-        fa, fb = slope(a), slope(b)
-        if fa == 0.0:
-            return float(a)
-        if fa * fb < 0.0:
-            return float(brentq(slope, a, b, xtol=1e-300, rtol=1e-14))
-    raise NoSolutionInBracket(
-        "no ferromagnetic branch: the profile slope never turns positive "
-        f"below m2 = 2/3 at T = {t}"
-    )
+    return _profile(params, "meanfield_m2", with_g=True).root(params.temperature)
 
 
 def spinodal_temperature(params: ModelParams) -> CriticalPoint:
@@ -342,32 +358,22 @@ def spinodal_temperature(params: ModelParams) -> CriticalPoint:
     bracketing the remaining 1-D equation.  Defined for twice_l = 2 with
     g = 0; nonzero j2/j6/j8 are solved too but flagged as extrapolation.
     """
-    j2, j4, j6, j8, _ = _profile_coeffs(params, "spinodal_temperature", bare=True)
+    pr = _profile(params, "spinodal_temperature")
 
     def t_of(m2):
         # the temperature at which the profile curvature vanishes at m2
-        return -m2 * (1.0 - m2) * _profile_curvature(m2, 0.0, j2, j4, j6, j8)
-
-    def reduced(m2):
-        return _profile_slope(m2, t_of(m2), j2, j4, j6, j8, 0.0)
+        return -m2 * (1.0 - m2) * pr.curvature(m2, 0.0)
 
     grid = np.geomspace(1e-8, _M2_TOP * (1.0 - 1e-9), 4000)
-    roots = [r for r in _sign_change_roots(reduced, grid) if t_of(r) > 0.0]
+    roots = [r for r in _sign_change_roots(lambda m2: pr.slope(m2, t_of(m2)), grid)
+             if t_of(r) > 0.0]
     if not roots:
         raise NoSolutionInBracket("no spinodal point on the m1 = 0 profile")
     m2_ms = roots[0]
     t_ms = float(t_of(m2_ms))
-    extrapolation = float(j2 != 0.0 or j6 != 0.0 or j8 != 0.0)
-    return CriticalPoint(
-        kind="spinodal",
-        value=t_ms,
-        order_param=MomentVector(params.l, np.array([0.0, m2_ms])),
-        residuals={
-            "stationarity": abs(_profile_slope(m2_ms, t_ms, j2, j4, j6, j8, 0.0)),
-            "curvature": abs(_profile_curvature(m2_ms, t_ms, j2, j4, j6, j8)),
-            "extrapolation": extrapolation,
-        },
-    )
+    return pr.point("spinodal", t_ms, m2_ms, {
+        "stationarity": abs(pr.slope(m2_ms, t_ms)),
+        "curvature": abs(pr.curvature(m2_ms, t_ms))})
 
 
 def critical_temperature(params: ModelParams) -> CriticalPoint:
@@ -377,12 +383,11 @@ def critical_temperature(params: ModelParams) -> CriticalPoint:
     paramagnet value.  Defined for twice_l = 2 with g = 0; nonzero
     j2/j6/j8 flagged as extrapolation.
     """
-    j2, j4, j6, j8, _ = _profile_coeffs(params, "critical_temperature", bare=True)
+    pr = _profile(params, "critical_temperature")
     t_ms = spinodal_temperature(params).value
 
     def ferro_gap(t):
-        m2 = meanfield_m2(replace(params, temperature=t))
-        return _profile_value(m2, t, j2, j4, j6, j8, 0.0) + t * math.log(3.0)
+        return pr.value(pr.root(t), t) + t * math.log(3.0)
 
     lo = t_ms * 1e-4
     hi = t_ms * (1.0 - 1e-9)
@@ -391,20 +396,10 @@ def critical_temperature(params: ModelParams) -> CriticalPoint:
             "free-energy crossing not bracketed below the spinodal"
         )
     t_c = float(brentq(ferro_gap, lo, hi, xtol=1e-13, rtol=1e-15))
-    m2_c = meanfield_m2(replace(params, temperature=t_c))
-    extrapolation = float(j2 != 0.0 or j6 != 0.0 or j8 != 0.0)
-    return CriticalPoint(
-        kind="critical_temperature",
-        value=t_c,
-        order_param=MomentVector(params.l, np.array([0.0, m2_c])),
-        residuals={
-            "stationarity": abs(_profile_slope(m2_c, t_c, j2, j4, j6, j8, 0.0)),
-            "degeneracy": abs(
-                _profile_value(m2_c, t_c, j2, j4, j6, j8, 0.0) + t_c * math.log(3.0)
-            ),
-            "extrapolation": extrapolation,
-        },
-    )
+    m2_c = pr.root(t_c)
+    return pr.point("critical_temperature", t_c, m2_c, {
+        "stationarity": abs(pr.slope(m2_c, t_c)),
+        "degeneracy": abs(pr.value(m2_c, t_c) + t_c * math.log(3.0))})
 
 
 def critical_coupling(params: ModelParams) -> CriticalPoint:
@@ -413,46 +408,35 @@ def critical_coupling(params: ModelParams) -> CriticalPoint:
     The threshold convention weighs the exchange field at twice its
     thermodynamic rate (equivalently: the m1 = 0 barrier condition taken
     at (T/2, g/2)); the barrier between the paramagnet and the registered
-    state disappears at the tangency of that condition.  Returns g_c with
-    the barrier location as order parameter.  When no barrier exists at
-    any coupling the threshold is 0 and ``barrier_absent`` is flagged in
-    the residuals.
+    state disappears at the tangency of that condition.  Defined for
+    twice_l = 2 with g = 0 and h0 = 0: params describe the bare magnet,
+    and the coupling is the answer.  Returns g_c with the barrier location
+    as order parameter.  When no barrier exists at any coupling the
+    threshold is 0, the order parameter is the paramagnet and
+    ``barrier_absent`` is flagged in the residuals.
     """
-    j2, j4, j6, j8, _ = _profile_coeffs(params, "critical_coupling")
+    pr = _profile(params, "critical_coupling")
     t = params.temperature
 
     def base(m2):
         # threshold slope at g = 0: the profile slope at (T/2, 0), doubled
-        return 2.0 * _profile_slope(m2, t / 2, j2, j4, j6, j8, 0.0)
+        return 2.0 * pr.slope(m2, t / 2)
 
     def base_slope(m2):
-        return 2.0 * _profile_curvature(m2, t / 2, j2, j4, j6, j8)
+        return 2.0 * pr.curvature(m2, t / 2)
 
     # the tangency sits at the upper zero of base_slope (local maximum of
     # the required coupling); 1e4-point scan, then refinement
     grid = np.linspace(1e-6, _M2_TOP * (1.0 - 1e-9), 10_000)
     zeros = _sign_change_roots(base_slope, grid)
-    extrapolation = float(j2 != 0.0 or j6 != 0.0 or j8 != 0.0)
     g_c = -2.0 / 3.0 * base(zeros[-1]) if zeros else 0.0
     if g_c <= 0.0:
-        return CriticalPoint(
-            kind="critical_coupling",
-            value=0.0,
-            order_param=paramagnet_moments(params.l),
-            residuals={"barrier_absent": 1.0, "extrapolation": extrapolation},
-        )
+        return pr.point("critical_coupling", 0.0, _M2_TOP, {"barrier_absent": 1.0})
     m2_b = zeros[-1]
-    return CriticalPoint(
-        kind="critical_coupling",
-        value=float(g_c),
-        order_param=MomentVector(params.l, np.array([0.0, m2_b])),
-        residuals={
-            "tangency": abs(base(m2_b) + 1.5 * g_c),
-            "tangency_slope": abs(base_slope(m2_b)),
-            "barrier_absent": 0.0,
-            "extrapolation": extrapolation,
-        },
-    )
+    return pr.point("critical_coupling", float(g_c), m2_b, {
+        "tangency": abs(base(m2_b) + 1.5 * g_c),
+        "tangency_slope": abs(base_slope(m2_b)),
+        "barrier_absent": 0.0})
 
 
 # ---------------------------------------------------------------------------
@@ -487,6 +471,10 @@ def branch_thresholds(params: ModelParams) -> tuple[CriticalPoint, CriticalPoint
     kernel = _Kernel(params)
     n = params.l.n_states
     kappa = np.geomspace(1e-3, 50.0, 2000)
+
+    def stability(t, x):  # H_E does not depend on T: one kernel serves every T
+        return _stability_eig(t, x[None], kernel.energy_hessian(x[None, None])[:, 0])[0]
+
     edge, folds, crossings = 0.0, {}, {}  # temperature -> log weights kappa c
     for alpha in (0.0, math.pi / n):
         c = kernel.table @ np.array([math.cos(alpha), math.sin(alpha)])
@@ -496,8 +484,7 @@ def branch_thresholds(params: ModelParams) -> tuple[CriticalPoint, CriticalPoint
         branch = functools.partial(_axis_branch, kernel, c)
         for k in _sign_change_roots(lambda k: branch(k)[2], kappa):
             x, t, _, _ = branch(k * (1.0 + 1e-3))
-            if t <= 0.0 or _stability_eig(_Kernel(replace(params, temperature=t)),
-                                          x[None])[0] <= 0.0:
+            if t <= 0.0 or stability(t, x) <= 0.0:
                 continue
             folds[branch(k)[1]] = k * c
             gaps = _sign_change_roots(lambda k: branch(k)[3],
@@ -520,7 +507,7 @@ def branch_thresholds(params: ModelParams) -> tuple[CriticalPoint, CriticalPoint
             name: abs(float(check(at, x))), "continuous": continuous})
 
     return (point("spinodal", folds, "fold_eigenvalue",
-                  lambda at, x: _stability_eig(at, x[None])[0]),
+                  lambda at, x: stability(at.params.temperature, x)),
             point("critical_temperature", crossings, "degeneracy",
                   lambda at, x: at.value(x) + at.params.temperature * math.log(n))
             if crossings else None)

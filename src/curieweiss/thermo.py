@@ -223,15 +223,15 @@ def _evaluate(params: ModelParams, x: np.ndarray) -> ThermoEval:
 
 
 def _feasible_weights(l: SpinQuantum, m) -> np.ndarray:
-    """Weights of a moment vector, clamped at 0; raises outside the simplex."""
-    if isinstance(m, MomentVector):
-        if m.l != l:
-            raise ValueError(f"moment vector is for l = {m.l.spin}, params for {l.spin}")
-        m = m.values
-    m = np.asarray(m, dtype=float)
-    if m.shape != (l.twice_l,):
-        raise ValueError(f"expected {l.twice_l} moments, got shape {m.shape}")
-    return _clamp_feasible(l, moments_to_weights_array(l, m))
+    """Weights of moments m, clamped at 0; raises outside the simplex.
+
+    Raw arrays are checked as a MomentVector (shape and finiteness) on a copy.
+    """
+    if not isinstance(m, MomentVector):
+        m = MomentVector(l, np.array(m, dtype=float))
+    elif m.l != l:
+        raise ValueError(f"moment vector is for l = {m.l.spin}, params for {l.spin}")
+    return _clamp_feasible(l, moments_to_weights_array(l, m.values))
 
 
 def alignment(m: MomentVector) -> float:
@@ -285,12 +285,15 @@ def free_energy_weights(params: ModelParams, weights) -> ThermoEval:
     Recovering weights from moments cancels catastrophically once an
     occupation drops below about 1e-15; passing the weights directly keeps
     the entropy and its derivatives accurate down to 1e-300.  The weights
-    must be nonnegative and sum to 1 within 1e-9 (they are renormalized).
+    must be finite, nonnegative and sum to 1 within 1e-9 (they are
+    renormalized).
     """
     l = params.l
     x = np.asarray(weights, dtype=float)
     if x.shape != (l.n_states,):
         raise ValueError(f"expected {l.n_states} weights, got shape {x.shape}")
+    if not np.all(np.isfinite(x)):
+        raise ValueError("weights must be finite")
     if np.any(x < -FEASIBILITY_TOL) or abs(x.sum() - 1.0) > 1e-9:
         raise InfeasibleMoments(
             "weights must be nonnegative and sum to 1", []

@@ -267,6 +267,11 @@ def test_landscape_bytes_pinned(args, digest):
          "380026feb024c14f8eb50c8b955b7ca7f61568371b76f585474798d51bf9b170"),
         (["landscape", "--resolution", "11", "--format", "json"],
          "aee871f0dd529459bdbdd72bffff8bedc2a5b5c7954fd85ef22e87b20a008cd7"),
+        # every J term (extrapolation flagged), then no barrier at any coupling
+        (["critical", "--temp", "0.35", "--j2", "0.1", "--j6", "0.2"],
+         "07991d4ccaf4a77d5c91d4624e676114e01f3ce5a9f771d9165c1b74eb1fb46f"),
+        (["critical", "--temp", "1.2"],
+         "9c0a1784ca407f13f6de41ef9726728f914be355841438d5b71ee837e8e74feb"),
     ],
 )
 def test_report_bytes_pinned(args, digest):

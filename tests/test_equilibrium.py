@@ -32,7 +32,7 @@ from curieweiss import (
     spinodal_temperature,
 )
 from curieweiss import equilibrium
-from curieweiss.equilibrium import _profile_curvature, _profile_slope, _profile_value
+from curieweiss.equilibrium import _Profile
 
 L1 = SpinQuantum(2)
 
@@ -158,6 +158,8 @@ def test_temperature_solvers_validation():
         spinodal_temperature(pr)
     with pytest.raises(ValueError):
         critical_temperature(pr)
+    with pytest.raises(ValueError, match="g = 0"):
+        critical_coupling(pr)
     pr5 = ModelParams(SpinQuantum(4), temperature=0.3, j4=1.0)
     for solver in (spinodal_temperature, critical_temperature, critical_coupling):
         with pytest.raises(ValueError):
@@ -513,12 +515,14 @@ def test_settle_rows_independent_of_the_batch(monkeypatch, twice_l):
     kernel, u = calls[0]
     assert u.shape == (twice_l + 22, twice_l + 1)
     x, tangent_grad, steps = settle(kernel, u)
-    eig = equilibrium._stability_eig(kernel, x)
+    t = pr.temperature
+    eig = equilibrium._stability_eig(t, x, kernel.energy_hessian(x[:, None])[:, 0])
     for i in range(len(u)):
         xi, grad_i, steps_i = settle(kernel, u[i:i + 1])
         assert np.array_equal(xi[0], x[i])
         assert grad_i[0] == tangent_grad[i] and steps_i[0] == steps[i]
-        assert equilibrium._stability_eig(kernel, x[i:i + 1])[0] == eig[i]
+        hess_i = kernel.energy_hessian(x[i:i + 1, None])[:, 0]
+        assert equilibrium._stability_eig(t, x[i:i + 1], hess_i)[0] == eig[i]
 
 
 def test_minimize_orbit_exact_past_chart_resolution():
@@ -553,11 +557,12 @@ def test_profile_closed_forms_match_free_energy(couplings):
     g = couplings.get("g", 0.0)
     pr = ModelParams(L1, temperature=t, sector=Fraction(0) if g else None,
                      **couplings)
+    profile = _Profile(*j, g)
     for m2 in (1e-6, 0.01, 0.2, 0.5, 2.0 / 3.0, 0.9):
         ev = free_energy(pr, MomentVector(L1, (0.0, m2)))
-        slope = _profile_slope(m2, t, *j, g)
-        curvature = _profile_curvature(m2, t, *j)
-        assert abs(_profile_value(m2, t, *j, g) - ev.free_energy) < 1e-12
+        slope = profile.slope(m2, t)
+        curvature = profile.curvature(m2, t)
+        assert abs(profile.value(m2, t) - ev.free_energy) < 1e-12
         assert abs(slope - ev.gradient[1]) < 1e-10 * max(1.0, abs(slope))
         assert abs(curvature - ev.hessian[1, 1]) < 1e-10 * max(1.0, abs(curvature))
 

@@ -284,6 +284,22 @@ def test_weights_evaluation_validation():
 
     with pytest.raises(InfeasibleMoments):
         free_energy_weights(pr, np.array([0.7, 0.6, -0.3]))
+    # non-finite weights or raw moments are refused, not evaluated to NaN
+    for bad in (math.nan, math.inf):
+        with pytest.raises(ValueError, match="finite"):
+            free_energy_weights(pr, np.array([bad, 0.5, 0.5]))
+        with pytest.raises(ValueError, match="finite"):
+            free_energy(pr, np.array([bad, 0.5]))
+        with pytest.raises(ValueError, match="finite"):
+            energy(pr, [0.0, bad])
+        with pytest.raises(ValueError, match="finite"):
+            coupling(ModelParams(l, temperature=0.3, g=0.1, sector=Fraction(0)),
+                     [bad, 0.5])
+    with pytest.raises(ValueError, match="expected 2 moments"):
+        free_energy(pr, np.array([0.0, 0.5, 0.1]))
+    # the grid path masks such rows as infeasible instead
+    f, feasible = free_energy_batch(pr, np.array([[math.nan, 0.5], [0.0, 0.5]]))
+    assert math.isnan(f[0]) and not feasible[0] and feasible[1]
 
 
 # --- 5. parameter validation and batch path ---
