@@ -223,13 +223,14 @@ def _status(failures: int, total: int) -> tuple[str, int]:
     return ("partial" if failures else "ok"), EXIT_OK
 
 
-_BLOCK_ROWS = 1 << 16
+_BLOCK_ROWS = 1 << 14
 
 
 def _table(cfg: dict, header: str, columns, notes: list[str]) -> str:
-    """Equal-length numpy columns as CSV rows (%.12g floats, integer flags)
-    or as the rows of a JSON report.  CSV rows are formatted a block at a
-    time, so only one block is ever held as Python objects."""
+    """Equal-length numpy columns as CSV rows (%.12g floats, %d integer flags)
+    or as the rows of a JSON report.  A CSV column's distinct values, keyed on
+    their bits (float equality merges -0.0 and 0.0, printed -0 and 0), are
+    formatted once; rows are joined from those strings a block at a time."""
     if cfg["format"] == "json":
         rows = list(zip(*(c.tolist() for c in columns)))
         return _json_text(cfg, {"columns": header.split(","), "rows": rows}, {}, "ok")
@@ -241,11 +242,20 @@ def _table(cfg: dict, header: str, columns, notes: list[str]) -> str:
     ]
     lines += [f"# {note}" for note in notes]
     lines.append(header)
-    line = ",".join("{:d}" if c.dtype.kind == "i" else "{:.12g}" for c in columns)
-    for s in range(0, len(columns[0]), _BLOCK_ROWS):
-        block = (c[s:s + _BLOCK_ROWS].tolist() for c in columns)
-        lines.append("\n".join(map(line.format, *block)))
-    return "\n".join(lines) + "\n"
+    texts, codes = [], []
+    for c in columns:
+        keys, inverse = np.unique(c.view(f"i{c.itemsize}"), return_inverse=True)
+        fmt = "%d" if c.dtype.kind == "i" else "%.12g"
+        texts.append(np.array([fmt % v for v in keys.view(c.dtype)], object))
+        # narrowest index type: held for all rows, so it sets the peak memory
+        codes.append(inverse.astype(np.min_scalar_type(len(keys))))
+    del keys, inverse  # the last column's, alive to the end otherwise
+    for s in range(0, len(codes[0]), _BLOCK_ROWS):
+        block = (t[i[s:s + _BLOCK_ROWS]].tolist() for t, i in zip(texts, codes))
+        lines.append("\n".join(map(",".join, zip(*block))))
+    del texts, codes
+    lines.append("")
+    return "\n".join(lines)
 
 
 # ---------------------------------------------------------------------------

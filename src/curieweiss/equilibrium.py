@@ -250,11 +250,19 @@ def _sign_change_roots(f, grid, *args):
     vals = np.asarray(f(grid, *args), dtype=float)
     out = grid[vals == 0.0].tolist()
     for i in np.nonzero(vals[:-1] * vals[1:] < 0.0)[0]:
-        out.append(
-            float(brentq(f, grid[i], grid[i + 1], args=args, xtol=1e-300, rtol=1e-14))
-        )
+        out.append(_brentq(f, grid[i], grid[i + 1], args))
     out.sort()
     return out
+
+
+def _brentq(f, a, b, args):
+    """Root of f(., *args) in [a, b] to full precision; NonConvergence past
+    1000 steps (brackets down to m2 = 1e-250 take brentq over 100)."""
+    root, info = brentq(f, a, b, args, xtol=1e-300, rtol=1e-14, maxiter=1000,
+                        full_output=True, disp=False)
+    if not info.converged:
+        raise NonConvergence(f"brentq did not converge on [{a!r}, {b!r}]", best=root)
+    return float(root)
 
 
 @dataclass(frozen=True)
@@ -307,7 +315,7 @@ class _Profile:
             if fa == 0.0:
                 return float(a)
             if fa * fb < 0.0:
-                return float(brentq(self.slope, a, b, (t,), xtol=1e-300, rtol=1e-14))
+                return _brentq(self.slope, a, b, (t,))
         raise NoSolutionInBracket(
             "no ferromagnetic branch: the profile slope never turns positive "
             f"below m2 = 2/3 at T = {t}"

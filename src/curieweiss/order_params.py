@@ -65,7 +65,7 @@ class MomentVector:
     values: np.ndarray
 
     def __post_init__(self):
-        v = np.asarray(self.values, dtype=float)
+        v = np.array(self.values, dtype=float)  # a copy: the caller's stays writable
         if v.shape != (self.l.twice_l,):
             raise ValueError(
                 f"expected {self.l.twice_l} moments, got shape {v.shape}"

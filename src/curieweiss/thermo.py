@@ -225,10 +225,10 @@ def _evaluate(params: ModelParams, x: np.ndarray) -> ThermoEval:
 def _feasible_weights(l: SpinQuantum, m) -> np.ndarray:
     """Weights of moments m, clamped at 0; raises outside the simplex.
 
-    Raw arrays are checked as a MomentVector (shape and finiteness) on a copy.
+    Raw arrays are checked as a MomentVector (shape and finiteness).
     """
     if not isinstance(m, MomentVector):
-        m = MomentVector(l, np.array(m, dtype=float))
+        m = MomentVector(l, m)
     elif m.l != l:
         raise ValueError(f"moment vector is for l = {m.l.spin}, params for {l.spin}")
     return _clamp_feasible(l, moments_to_weights_array(l, m.values))

@@ -272,6 +272,13 @@ def test_landscape_bytes_pinned(args, digest):
          "07991d4ccaf4a77d5c91d4624e676114e01f3ce5a9f771d9165c1b74eb1fb46f"),
         (["critical", "--temp", "1.2"],
          "9c0a1784ca407f13f6de41ef9726728f914be355841438d5b71ee837e8e74feb"),
+        # CSV grids of 90 601 and 73 441 rows, past one formatting block
+        (["landscape", "--l", "6", "--resolution", "301", "--temp", "0.3",
+          "--axis1", "1", "--axis2", "3"],
+         "8591cc71cef41fc37bd8a4fda0f47f2971272d6a5a863d4a7438491a9b290200"),
+        (["landscape", "--l", "4", "--resolution", "271", "--temp", "0.3",
+          "--g", "0.1", "--sector", "-1"],
+         "c952c95fce01ecf77cb9ce2299e43e69944834f0abef673842f31d883d0ef04b"),
     ],
 )
 def test_report_bytes_pinned(args, digest):
@@ -280,6 +287,30 @@ def test_report_bytes_pinned(args, digest):
     rc, out, _ = run(args)
     assert rc == cli.EXIT_OK
     assert hashlib.sha256(out.encode("utf-8")).hexdigest() == digest
+
+
+def test_table_rows_match_per_row_formatting():
+    # each distinct value is formatted once; the rows must read as if each
+    # row were formatted on its own, and floats equal as numbers but not in
+    # bits (0.0 and -0.0) must keep their own text
+    rng = np.random.default_rng(7)
+    n = 2 * cli._BLOCK_ROWS + 123
+    x = 0.1 + 0.2
+    pool = np.array([0.0, -0.0, np.nan, 1e-300, -1e-300, x, np.nextafter(x, 1.0),
+                     1.0 / 3.0, -2.5, np.inf, -np.inf, 1e16 + 2.0])
+    grid = rng.standard_normal((n, 3))
+    grid[:, 1] = pool[rng.integers(pool.size, size=n)]
+    columns = (pool[rng.integers(pool.size, size=n)], grid[:, 1],
+               rng.integers(2, size=n), grid[:, 0])
+    cfg = cli._merge_config(cli._build_parser().parse_args(["landscape"]))
+    text = cli._table(cfg, "a,b,feasible,F", columns, ["note"])
+    line = ",".join("{:d}" if c.dtype.kind == "i" else "{:.12g}" for c in columns)
+    rows = zip(*(c.tolist() for c in columns))
+    want = "".join(line.format(*row) + "\n" for row in rows)
+    head, body = text.split("\na,b,feasible,F\n")
+    assert head.startswith("# curieweiss landscape") and head.endswith("# note")
+    assert body == want
+    assert {"0", "-0", "nan", "1e-300"} <= set(body.replace("\n", ",").split(","))
 
 
 def test_landscape_header_names_axes():

@@ -94,6 +94,23 @@ def test_meanfield_low_temperature_asymptote():
     assert abs(profile_slope(got, 0.05)) < 1e-10
 
 
+def test_meanfield_root_hundreds_of_decades_down(monkeypatch):
+    # the last bracket is [1e-250, 2.7e-3]; brentq bisects in m2, not in
+    # log m2, and takes 103 steps, past scipy's default cap of 100
+    params = ModelParams(L1, temperature=0.05, j4=2.0, j6=0.2, j8=0.2)
+    got = meanfield_m2(params)
+    assert math.isclose(got, 1.0760372320042152e-31, rel_tol=1e-14)
+    prof = _Profile(0.0, 2.0, 0.2, 0.2, 0.0)
+    assert prof.slope(got * (1 - 1e-14), 0.05) < 0.0
+    assert prof.slope(got * (1 + 1e-14), 0.05) > 0.0
+    # under the old cap the same search stops as the library's NonConvergence
+    scipy_brentq = equilibrium.brentq
+    monkeypatch.setattr(equilibrium, "brentq",
+                        lambda *a, **kw: scipy_brentq(*a, **{**kw, "maxiter": 100}))
+    with pytest.raises(NonConvergence, match="brentq"):
+        meanfield_m2(params)
+
+
 def test_meanfield_no_root_above_spinodal():
     with pytest.raises(NoSolutionInBracket):
         meanfield_m2(ModelParams(L1, temperature=0.4, j4=1.0))

@@ -254,6 +254,14 @@ def test_weight_vector_rejects_non_finite(weights):
         WeightVector(SpinQuantum(2), weights)
 
 
+def test_moment_vector_copies_the_callers_array():
+    a = np.array([0.1, 0.7])
+    m = MomentVector(SpinQuantum(2), a)
+    a[0] = 0.2  # the caller's array stays writable
+    assert m.values.tolist() == [0.1, 0.7]
+    assert not m.values.flags.writeable
+
+
 def test_moments_to_weights_raises_outside_simplex():
     l = SpinQuantum(2)
     with pytest.raises(InfeasibleMoments):
