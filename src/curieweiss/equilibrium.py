@@ -30,7 +30,7 @@ from .order_params import (
     weights_to_moments_array,
 )
 from .spectrum import SpinQuantum
-from .thermo import ModelParams, _entropy, _Kernel, free_energy_weights
+from .thermo import ModelParams, _entropy, _Kernel, _mean_phase, free_energy_weights
 
 GRAD_TOL = 1e-8
 _DEDUP_TOL = 1e-6
@@ -44,11 +44,11 @@ RANDOM_STARTS = 20
 class Minimum:
     """A converged stationary point of the free energy.
 
-    ``hessian_eigen_min`` is the smallest eigenvalue of the weight-space
-    Hessian rescaled by sqrt(x) on both sides and restricted to the simplex
-    (see _stability_eig): T at the paramagnet when J2 = 0, the same for
-    every member of one symmetry orbit, and negative exactly at saddles, so
-    its sign decides the classification.
+    ``hessian_eigen_min`` is the stability number T + eig(K Sigma) of
+    _stability_eig, read off the 2x2 mean-phase curvature: the smallest
+    eigenvalue of the sqrt(x)-rescaled weight-space Hessian on the simplex.
+    It is T at the paramagnet when J2 = 0, the same for every orbit member,
+    and negative exactly at saddles: its sign decides the classification.
     """
 
     m_star: MomentVector
@@ -72,23 +72,27 @@ class CriticalPoint:
 # free minimization over the simplex
 
 
-def _stability_eig(t: float, x: np.ndarray, hess: np.ndarray) -> np.ndarray:
+def _stability_eig(kernel: _Kernel, t: float, x: np.ndarray) -> np.ndarray:
     """Smallest eigenvalue of r (H_E + T diag(1/x)) r on the complement of r.
 
-    One value per row of x, shape (S, 2l+1).  Here r = sqrt(x) and hess
-    holds the energy Hessian H_E in x at each row, shape (S, 2l+1, 2l+1);
-    it does not depend on T.  The simplex tangent directions are r*w with w
-    orthogonal to r, so this is a congruence of the tangent-space Hessian
-    (and of the moment Hessian): eigenvalue signs, and with them the
-    minimum / saddle call, are kept.  The matrix is r H_E r + T*I, bounded
-    even where occupations underflow the moment chart, and a cyclic
-    relabeling only permutes x, so every member of one orbit gets the same
-    number.  Every product is stacked per row: no row depends on the others.
+    One value per row of x, shape (S, 2l+1), with r = sqrt(x): a congruence
+    of the tangent-space Hessian, so the minimum / saddle call keeps its sign.
+    H_E = C K C^T has rank 2 (K = 2 phi'(A) I + 4 phi''(A) p p^T at the mean
+    phase p), so the eigenvalues are T + eig(K Sigma), Sigma = sum x (c - p)
+    (c - p)^T summed centred (C^T X C - p p^T cancels), and T on the other
+    2l - 2 directions; at 2l = 1 the one direction, Q, gives T + tr(K Sigma).
+    Orbit members permute x, so share the number; no row reads another row.
     """
-    r = np.sqrt(x)
-    basis = np.linalg.qr(r[:, :, None], mode="complete")[0][..., 1:]
-    scaled = r[:, :, None] * hess * r[:, None]
-    return np.linalg.eigvalsh(basis.swapaxes(1, 2) @ scaled @ basis).min(axis=-1) + t
+    pq, a = _mean_phase(kernel.table, x[:, None])
+    d1, d2 = kernel.dphi(a[..., None])
+    dev = kernel.table.T - pq.swapaxes(1, 2)  # c - p, shape (S, 2, 2l+1)
+    cov = (x[:, None, None] * dev[:, :, None] * dev[:, None]).sum(axis=-1)  # Sigma
+    m = 2.0 * d1 * cov + 4.0 * d2 * pq.swapaxes(1, 2) * (cov * pq).sum(axis=-1)[:, None]
+    half_tr, half_gap = (m[:, 0, 0] + m[:, 1, 1]) / 2, (m[:, 0, 0] - m[:, 1, 1]) / 2
+    if x.shape[-1] == 2:
+        return t + 2.0 * half_tr
+    low = half_tr - np.sqrt(np.maximum(0.0, half_gap**2 + m[:, 0, 1] * m[:, 1, 0]))
+    return t + (low if x.shape[-1] == 3 else np.minimum(low, 0.0))
 
 
 def _softmax(u: np.ndarray):
@@ -110,13 +114,14 @@ def _settle(kernel: _Kernel, u: np.ndarray):
     component of the tangent gradient of F in the weights) and the steps.
 
     Each step is Newton's with the Hessian shifted by mu = max(0, -2 lambda),
-    lambda = _stability_eig: ((1 + mu/T) I + H_E diag(x)/T) du = -res + c 1,
-    x.du = 0.  In sqrt(x)-scaled tangent coordinates mu adds to the stability
-    matrix, so the factor 2 mirrors lambda < 0 to |lambda|: mu = 0 where F is
-    locally convex, and for large mu du tends to the mean-field step -res
-    times T/(T + mu).  Steps backtrack on F (Armijo), or, with F within its
-    roundoff, are taken if they halve max|res|.  Carrying u rather than x
-    keeps occupations far below the moment chart's resolution exact.
+    lambda the 2x2 stability number of _stability_eig, and the full energy
+    Hessian H_E in its KKT system ((1 + mu/T) I + H_E diag(x)/T) du = -res +
+    c 1, x.du = 0.  In sqrt(x)-scaled tangent coordinates mu adds to the
+    stability matrix, so the factor 2 mirrors lambda < 0 to |lambda|: mu = 0
+    where F is locally convex, and for large mu du tends to the mean-field
+    step -res times T/(T + mu).  Steps backtrack on F (Armijo), or, with F
+    within its roundoff, are taken if they halve max|res|.  Carrying u rather
+    than x keeps occupations far below the moment chart's resolution exact.
 
     Each step solves the stacked systems of the rows still live, and each
     backtracking round re-evaluates only the rows still halving.  A row
@@ -137,7 +142,7 @@ def _settle(kernel: _Kernel, u: np.ndarray):
         steps[live] += 1
         xl = x[live]
         h_e = kernel.energy_hessian(xl[:, None])[:, 0]
-        mu = np.maximum(0.0, -2.0 * _stability_eig(t, xl, h_e))
+        mu = np.maximum(0.0, -2.0 * _stability_eig(kernel, t, xl))
         hess = (1.0 + mu / t)[:, None, None] * np.eye(n) + h_e * (xl[:, None] / t)
         kkt = np.block([[hess, -np.ones((live.size, n, 1))],
                         [xl[:, None], np.zeros((live.size, 1, 1))]])
@@ -210,9 +215,7 @@ def minimize(params: ModelParams, seed: int = 0) -> list[Minimum]:
     for i in converged[np.argsort(f[converged], kind="stable")]:
         if not kept or np.abs(x[i] - x[kept]).max(axis=-1).min() >= _DEDUP_TOL:
             kept.append(i)
-    x_kept = x[kept]
-    eigs = _stability_eig(params.temperature, x_kept,
-                          kernel.energy_hessian(x_kept[:, None])[:, 0])
+    eigs = _stability_eig(kernel, params.temperature, x[kept])
 
     true_minima = f[kept][eigs > _SADDLE_TOL]
     f_best = true_minima.min() if true_minima.size else f[kept[0]]
@@ -480,9 +483,6 @@ def branch_thresholds(params: ModelParams) -> tuple[CriticalPoint, CriticalPoint
     n = params.l.n_states
     kappa = np.geomspace(1e-3, 50.0, 2000)
 
-    def stability(t, x):  # H_E does not depend on T: one kernel serves every T
-        return _stability_eig(t, x[None], kernel.energy_hessian(x[None, None])[:, 0])[0]
-
     edge, folds, crossings = 0.0, {}, {}  # temperature -> log weights kappa c
     for alpha in (0.0, math.pi / n):
         c = kernel.table @ np.array([math.cos(alpha), math.sin(alpha)])
@@ -492,7 +492,7 @@ def branch_thresholds(params: ModelParams) -> tuple[CriticalPoint, CriticalPoint
         branch = functools.partial(_axis_branch, kernel, c)
         for k in _sign_change_roots(lambda k: branch(k)[2], kappa):
             x, t, _, _ = branch(k * (1.0 + 1e-3))
-            if t <= 0.0 or stability(t, x) <= 0.0:
+            if t <= 0.0 or _stability_eig(kernel, t, x[None])[0] <= 0.0:
                 continue
             folds[branch(k)[1]] = k * c
             gaps = _sign_change_roots(lambda k: branch(k)[3],
@@ -515,7 +515,7 @@ def branch_thresholds(params: ModelParams) -> tuple[CriticalPoint, CriticalPoint
             name: abs(float(check(at, x))), "continuous": continuous})
 
     return (point("spinodal", folds, "fold_eigenvalue",
-                  lambda at, x: stability(at.params.temperature, x)),
+                  lambda at, x: _stability_eig(at, at.params.temperature, x[None])[0]),
             point("critical_temperature", crossings, "degeneracy",
                   lambda at, x: at.value(x) + at.params.temperature * math.log(n))
             if crossings else None)

@@ -141,6 +141,8 @@ def raw_config_free_energy(params: ModelParams, n_spins: int) -> float:
 
     Exists to validate the composition route; capped at MAX_RAW_CONFIGURATIONS.
     """
+    if n_spins < 1:
+        raise ValueError("n_spins must be positive")
     d = params.l.n_states
     total = d**n_spins
     if total > MAX_RAW_CONFIGURATIONS:

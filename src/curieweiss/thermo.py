@@ -69,6 +69,8 @@ class ModelParams:
     h0: float = 0.0
 
     def __post_init__(self):
+        if not isinstance(self.l, SpinQuantum):
+            raise TypeError(f"l must be a SpinQuantum, got {type(self.l).__name__}")
         for name in ("temperature", "j2", "j4", "j6", "j8", "g", "h0"):
             if not math.isfinite(getattr(self, name)):
                 raise ValueError(f"{name} must be finite, got {getattr(self, name)}")

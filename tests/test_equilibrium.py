@@ -33,6 +33,7 @@ from curieweiss import (
 )
 from curieweiss import equilibrium
 from curieweiss.equilibrium import _Profile
+from curieweiss.thermo import _Kernel
 
 L1 = SpinQuantum(2)
 
@@ -533,13 +534,55 @@ def test_settle_rows_independent_of_the_batch(monkeypatch, twice_l):
     assert u.shape == (twice_l + 22, twice_l + 1)
     x, tangent_grad, steps = settle(kernel, u)
     t = pr.temperature
-    eig = equilibrium._stability_eig(t, x, kernel.energy_hessian(x[:, None])[:, 0])
+    eig = equilibrium._stability_eig(kernel, t, x)
     for i in range(len(u)):
         xi, grad_i, steps_i = settle(kernel, u[i:i + 1])
         assert np.array_equal(xi[0], x[i])
         assert grad_i[0] == tangent_grad[i] and steps_i[0] == steps[i]
-        hess_i = kernel.energy_hessian(x[i:i + 1, None])[:, 0]
-        assert equilibrium._stability_eig(t, x[i:i + 1], hess_i)[0] == eig[i]
+        assert equilibrium._stability_eig(kernel, t, x[i:i + 1])[0] == eig[i]
+
+
+def dense_stability_eig(kernel, t, x):
+    """The stability number by the full tangent-space eigensolve.
+
+    r (H_E + T diag(1/x)) r on a complete QR basis of the complement of
+    r = sqrt(x), then the smallest of its 2l eigenvalues, per row.
+    """
+    hess = kernel.energy_hessian(x[:, None])[:, 0]
+    r = np.sqrt(x)
+    basis = np.linalg.qr(r[:, :, None], mode="complete")[0][..., 1:]
+    scaled = r[:, :, None] * hess * r[:, None]
+    return np.linalg.eigvalsh(basis.swapaxes(1, 2) @ scaled @ basis).min(axis=-1) + t
+
+
+@pytest.mark.parametrize("twice_l", range(1, 21))
+def test_stability_eig_matches_dense_reference(twice_l):
+    # the 2x2 K Sigma form against the full eigensolve on random rows,
+    # near-vertex rows (log weights scaled by 30) and the paramagnet; the
+    # bare magnet's number is also the same at every cyclic relabeling
+    rng = np.random.default_rng(twice_l)
+    n = twice_l + 1
+    for case in range(6):
+        kw = dict(zip(("j2", "j4", "j6", "j8"), rng.uniform(-1.0, 1.0, 4)))
+        if case >= 3:
+            kw.update(g=rng.uniform(0.0, 0.2),
+                      sector=Fraction(int(rng.integers(n))) - Fraction(twice_l, 2))
+        if case == 5 and twice_l == 2:
+            kw.update(h0=rng.uniform(-0.2, 0.2))
+        pr = ModelParams(SpinQuantum(twice_l), temperature=rng.uniform(0.02, 0.5), **kw)
+        kernel, t = _Kernel(pr), pr.temperature
+        u = np.vstack([rng.normal(size=(10, n)), 30.0 * rng.normal(size=(10, n)),
+                       np.zeros((1, n))])
+        x = np.exp(u - u.max(axis=1, keepdims=True))
+        x /= x.sum(axis=1, keepdims=True)
+        eig = equilibrium._stability_eig(kernel, t, x)
+        ref = dense_stability_eig(kernel, t, x)
+        bound = 1e-13 * np.maximum(np.abs(ref), t)
+        assert np.all(np.abs(eig - ref) <= bound)
+        if case < 3:
+            for k in range(1, n):
+                rolled = equilibrium._stability_eig(kernel, t, np.roll(x, k, axis=1))
+                assert np.all(np.abs(rolled - eig) <= bound)
 
 
 def test_minimize_orbit_exact_past_chart_resolution():

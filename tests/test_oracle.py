@@ -119,6 +119,15 @@ def test_size_guard():
         enumerate_ensemble(SpinQuantum(6), 40)
 
 
+@pytest.mark.parametrize("n_spins", [0, -1])
+def test_ensembles_refuse_nonpositive_sizes(n_spins):
+    pr = ModelParams(L1, temperature=0.3, j4=1.0)
+    with pytest.raises(ValueError, match="n_spins must be positive"):
+        enumerate_ensemble(L1, n_spins)
+    with pytest.raises(ValueError, match="n_spins must be positive"):
+        raw_config_free_energy(pr, n_spins)
+
+
 def test_needs_params_for_thermodynamics():
     ens = enumerate_ensemble(L1, 4)
     assert ens.params is None and ens.log_weight is None

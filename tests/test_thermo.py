@@ -323,6 +323,14 @@ def test_params_validation():
                 ModelParams(l, **{"temperature": 0.3, "sector": Fraction(1), name: bad})
 
 
+def test_params_need_a_spin_quantum():
+    # a bare int for l used to pass, then fail later as an AttributeError
+    with pytest.raises(TypeError, match="SpinQuantum"):
+        ModelParams(2, temperature=0.3)
+    with pytest.raises(TypeError, match="SpinQuantum"):
+        ModelParams(2, temperature=0.3, h0=0.1)
+
+
 def test_batch_matches_scalar():
     pr = generic_params(3)
     l, points = interior_points(3, 50, seed=9)
