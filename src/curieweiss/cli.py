@@ -14,6 +14,7 @@ Exit codes: 0 success, 1 usage error, 2 numerical failure.
 from __future__ import annotations
 
 import argparse
+import contextlib
 import dataclasses
 import functools
 import hashlib
@@ -115,12 +116,33 @@ def _build_parser() -> _Parser:
     return parser
 
 
+def _config_value(key: str, value):
+    """A config-file value read as its flag would be: through the option's
+    type and choices, switches as JSON booleans, integers only when whole."""
+    if key not in _OPTIONS:
+        raise UsageError(f"unknown config key {key!r}")
+    default, keywords, _ = _OPTIONS[key]
+    kind = keywords.get("type", str)
+    if key == "n_list" and isinstance(value, list):
+        value = ",".join(map(str, value))  # the flag's text, parsed with it
+    if keywords.get("action") == "store_true" or value is None:
+        if isinstance(value, bool) or (value is None and default is None):
+            return value
+    elif type(value) in (str, int, float) and not (
+            kind is int and type(value) is float and not value.is_integer()):
+        with contextlib.suppress(ValueError, OverflowError):
+            typed = kind(value)
+            if typed in keywords.get("choices", (typed,)):
+                return typed
+    raise UsageError(f"config key {key!r}: {value!r} is not a valid value")
+
+
 def _merge_config(args: argparse.Namespace) -> dict:
     """Resolve option precedence: explicit flags > config file > defaults.
 
     The result holds the options the subcommand reads, --out and --config;
-    a config file may name any option, and those the subcommand does not
-    read are ignored.
+    a config file may name any option, each checked by _config_value, and
+    those the subcommand does not read are ignored.
     """
     loaded = {}
     if args.config:
@@ -131,39 +153,22 @@ def _merge_config(args: argparse.Namespace) -> dict:
             raise UsageError(f"cannot read config file {args.config}: {exc}")
         if not isinstance(loaded, dict):
             raise UsageError("config file must hold a JSON object")
-        for key in loaded:
-            if key not in _OPTIONS:
-                raise UsageError(f"unknown config key {key!r}")
+        loaded = {key: _config_value(key, value) for key, value in loaded.items()}
     cfg = {"command": args.command}
     for key, (default, _, readers) in _OPTIONS.items():
         if readers is None or args.command in readers:
             flag_value = getattr(args, key)
             cfg[key] = loaded.get(key, default) if flag_value is None else flag_value
-    n_list = cfg.get("n_list")
-    if isinstance(n_list, str):
-        cfg["n_list"] = [int(part) for part in n_list.split(",") if part.strip()]
-    elif n_list is not None:
-        cfg["n_list"] = [int(v) for v in n_list]
+    if "n_list" in cfg:
+        cfg["n_list"] = [int(part) for part in cfg["n_list"].split(",") if part.strip()]
     return cfg
 
 
 def _make_params(cfg: dict) -> ModelParams:
-    l = SpinQuantum(int(cfg["l"]))
-    sector = cfg["sector"]
-    if sector is not None and not isinstance(sector, Fraction):
-        text = str(sector).strip().lower()
-        sector = None if text in ("", "none") else Fraction(text)
-    return ModelParams(
-        l=l,
-        temperature=float(cfg["temp"]),
-        j2=float(cfg["j2"]),
-        j4=float(cfg["j4"]),
-        j6=float(cfg["j6"]),
-        j8=float(cfg["j8"]),
-        g=float(cfg["g"]),
-        sector=sector,
-        h0=float(cfg["h0"]),
-    )
+    sector = (cfg["sector"] or "").strip().lower()
+    return ModelParams(SpinQuantum(cfg["l"]), cfg["temp"],
+                       sector=None if sector in ("", "none") else Fraction(sector),
+                       **{key: cfg[key] for key in ("j2", "j4", "j6", "j8", "g", "h0")})
 
 
 def _plain(obj):

@@ -72,27 +72,35 @@ class CriticalPoint:
 # free minimization over the simplex
 
 
-def _stability_eig(kernel: _Kernel, t: float, x: np.ndarray) -> np.ndarray:
-    """Smallest eigenvalue of r (H_E + T diag(1/x)) r on the complement of r.
+def _curvature(kernel: _Kernel, t: float, x: np.ndarray):
+    """Centred phases (c - p)^T (S, 2, 2l+1), K Sigma and K (S, 2, 2) and the
+    stability number (S,), per row of x, shape (S, 2l+1).
 
-    One value per row of x, shape (S, 2l+1), with r = sqrt(x): a congruence
-    of the tangent-space Hessian, so the minimum / saddle call keeps its sign.
-    H_E = C K C^T has rank 2 (K = 2 phi'(A) I + 4 phi''(A) p p^T at the mean
-    phase p), so the eigenvalues are T + eig(K Sigma), Sigma = sum x (c - p)
-    (c - p)^T summed centred (C^T X C - p p^T cancels), and T on the other
-    2l - 2 directions; at 2l = 1 the one direction, Q, gives T + tr(K Sigma).
-    Orbit members permute x, so share the number; no row reads another row.
+    H_E = C K C^T has rank 2, so on the simplex it acts through K Sigma,
+    Sigma = sum x (c - p)(c - p)^T summed centred (C^T X C - p p^T cancels).
+    The stability number, the smallest eigenvalue of r (H_E + T diag(1/x)) r
+    on the complement of r = sqrt(x) (a congruence of the tangent Hessian, so
+    the minimum / saddle call keeps its sign), is T + eig(K Sigma), T on the
+    other 2l - 2 directions, and T + tr(K Sigma) at 2l = 1, whose one
+    direction is Q.  Orbit members share it; no row reads another row.
     """
-    pq, a = _mean_phase(kernel.table, x[:, None])
-    d1, d2 = kernel.dphi(a[..., None])
-    dev = kernel.table.T - pq.swapaxes(1, 2)  # c - p, shape (S, 2, 2l+1)
+    pq = _mean_phase(kernel.table, x[:, None])[0]
+    k = kernel.curvature(x[:, None])[:, 0]
+    dev = kernel.table.T - pq.swapaxes(1, 2)
     cov = (x[:, None, None] * dev[:, :, None] * dev[:, None]).sum(axis=-1)  # Sigma
-    m = 2.0 * d1 * cov + 4.0 * d2 * pq.swapaxes(1, 2) * (cov * pq).sum(axis=-1)[:, None]
+    m = (k[..., None] * cov[:, None]).sum(axis=2)
     half_tr, half_gap = (m[:, 0, 0] + m[:, 1, 1]) / 2, (m[:, 0, 0] - m[:, 1, 1]) / 2
     if x.shape[-1] == 2:
-        return t + 2.0 * half_tr
-    low = half_tr - np.sqrt(np.maximum(0.0, half_gap**2 + m[:, 0, 1] * m[:, 1, 0]))
-    return t + (low if x.shape[-1] == 3 else np.minimum(low, 0.0))
+        eig = t + 2.0 * half_tr
+    else:
+        low = half_tr - np.sqrt(np.maximum(0.0, half_gap**2 + m[:, 0, 1] * m[:, 1, 0]))
+        eig = t + (low if x.shape[-1] == 3 else np.minimum(low, 0.0))
+    return dev, m, k, eig
+
+
+def _stability_eig(kernel: _Kernel, t: float, x: np.ndarray) -> np.ndarray:
+    """The stability number of _curvature at temperature t, one per row of x."""
+    return _curvature(kernel, t, x)[3]
 
 
 def _softmax(u: np.ndarray):
@@ -107,29 +115,46 @@ def _residual(kernel: _Kernel, u: np.ndarray, x: np.ndarray) -> np.ndarray:
     return (r - x[:, None] @ r.swapaxes(1, 2))[:, 0]
 
 
+def _newton_step(kernel: _Kernel, x: np.ndarray, res: np.ndarray) -> np.ndarray:
+    """_settle's step du in the log weights, per row of x and res (x.res = 0).
+
+    The KKT system (alpha I + H_E diag(x)/T) du = -res + c 1, x.du = 0, alpha
+    = 1 + mu/T with _settle's shift mu, is one 2x2 solve for v = D^T diag(x)
+    du: with H_E = C K C^T, the centred phases D = C - 1 p^T and x^T D = 0
+    the multiplier c drops out,
+
+        (alpha I + (K Sigma)^T / T) v = -D^T (x res),  du = -(res + D K v / T) / alpha.
+    """
+    t = kernel.params.temperature
+    dev, k_cov, k, eig = _curvature(kernel, t, x)
+    alpha = 1.0 + np.maximum(0.0, -2.0 * eig) / t
+    v = np.linalg.solve(alpha[:, None, None] * np.eye(2) + k_cov.swapaxes(1, 2) / t,
+                        -(dev * (x * res)[:, None]).sum(axis=-1)[..., None])
+    kv = (k * v.swapaxes(1, 2)).sum(axis=-1)
+    return -(res + (dev * kv[..., None]).sum(axis=1) / t) / alpha[:, None]
+
+
 def _settle(kernel: _Kernel, u: np.ndarray):
     """Descend F from every row of log weights u, shape (S, 2l+1), at once.
 
     Returns per row the final x = softmax(u), T max|res| there (the largest
     component of the tangent gradient of F in the weights) and the steps.
 
-    Each step is Newton's with the Hessian shifted by mu = max(0, -2 lambda),
-    lambda the 2x2 stability number of _stability_eig, and the full energy
-    Hessian H_E in its KKT system ((1 + mu/T) I + H_E diag(x)/T) du = -res +
-    c 1, x.du = 0.  In sqrt(x)-scaled tangent coordinates mu adds to the
-    stability matrix, so the factor 2 mirrors lambda < 0 to |lambda|: mu = 0
-    where F is locally convex, and for large mu du tends to the mean-field
-    step -res times T/(T + mu).  Steps backtrack on F (Armijo), or, with F
-    within its roundoff, are taken if they halve max|res|.  Carrying u rather
-    than x keeps occupations far below the moment chart's resolution exact.
+    Each step is _newton_step's, Newton's with the Hessian shifted by mu =
+    max(0, -2 lambda), lambda the stability number.  In sqrt(x)-scaled
+    tangent coordinates mu adds to the stability matrix, so the factor 2
+    mirrors lambda < 0 to |lambda|: mu = 0 where F is locally convex, and for
+    large mu du tends to the mean-field step -res times T/(T + mu).  Steps
+    backtrack on F (Armijo), or, with F within its roundoff, are taken if they
+    halve max|res|.  Carrying u rather than x keeps occupations far below the
+    moment chart's resolution exact.
 
-    Each step solves the stacked systems of the rows still live, and each
+    Each step solves the stacked 2x2 systems of the rows still live, and each
     backtracking round re-evaluates only the rows still halving.  A row
     retires once max|res| < 1e-13 or its step falls to 1e-14; every product
     is stacked per row, so its path is the one it would take alone.
     """
     t = kernel.params.temperature
-    n = u.shape[1]
     u, x = _softmax(u)
     f = kernel.value(x[:, None])[:, 0]
     res = _residual(kernel, u, x)
@@ -140,15 +165,9 @@ def _settle(kernel: _Kernel, u: np.ndarray):
         if not live.size:
             break
         steps[live] += 1
-        xl = x[live]
-        h_e = kernel.energy_hessian(xl[:, None])[:, 0]
-        mu = np.maximum(0.0, -2.0 * _stability_eig(kernel, t, xl))
-        hess = (1.0 + mu / t)[:, None, None] * np.eye(n) + h_e * (xl[:, None] / t)
-        kkt = np.block([[hess, -np.ones((live.size, n, 1))],
-                        [xl[:, None], np.zeros((live.size, 1, 1))]])
-        rhs = np.append(-res[live], np.zeros((live.size, 1)), axis=1)
-        du = np.linalg.solve(kkt, rhs[..., None])[:, :n, 0]
-        slope = t * (xl[:, None] @ (res[live] * du)[:, :, None])[:, 0, 0]
+        xl, rl = x[live], res[live]
+        du = _newton_step(kernel, xl, rl)
+        slope = t * (xl[:, None] @ (rl * du)[:, :, None])[:, 0, 0]
         step = np.ones(live.size)
         halving = np.arange(live.size)
         while halving.size:

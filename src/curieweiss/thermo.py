@@ -17,12 +17,13 @@ shifts the sigma = 0 level.  Both are linear in x and enter as one vector
 b, so the free energy per spin is F = phi(A) + b.x - T*S with the entropy
 S = -sum x ln x.
 
-One private kernel (_Kernel) evaluates F, its x-gradient and the energy
-Hessian for one point or for points along leading batch axes; the
-minimizer and the finite-N oracle call it directly.  The public functions
-take moments: they invert the affine chart x(m) and pull derivatives back
-by the chain rule, W^T g and W^T H W with W = dx/dm, in one place
-(_evaluate).
+One private kernel (_Kernel) evaluates F, its x-gradient and the 2x2
+mean-phase curvature K, for one point or for points along leading batch
+axes; the minimizer and the finite-N oracle call it directly.  The energy
+Hessian in the weights is C K C^T (C the phases) and is never built.  The
+public functions take moments: they invert the affine chart x(m) and pull
+derivatives back by the chain rule in one place (_evaluate), W^T g and
+J^T K J + W^T diag(T/x) W with W = dx/dm and J = C^T W.
 """
 
 from __future__ import annotations
@@ -163,31 +164,23 @@ class _Kernel:
         return (-0.5 * (pr.j2 + pr.j4 * a + pr.j6 * a**2 + pr.j8 * a**3),
                 -0.5 * (pr.j4 + 2 * pr.j6 * a + 3 * pr.j8 * a**2))
 
-    def _slopes(self, x):
-        """dA/dx, phi'(A) and phi''(A) per point, the last two with a unit axis.
-
-        A stays a numpy scalar for one point; with x of shape (S, 1, 2l+1)
-        every product is stacked, so no row's bits depend on the other rows.
-        """
-        pq, a = _mean_phase(self.table, x)
-        d1, d2 = self.dphi(a)
-        return (self.table @ (2.0 * pq)[..., None])[..., 0], d1[..., None], d2[..., None]
-
     def field(self, x):
-        """h = dE/dx = phi'(A) dA/dx + b per point."""
-        da, d1, _ = self._slopes(x)
-        return d1 * da + self.b
+        """h = dE/dx = 2 phi'(A) C p + b per point, C the phase table."""
+        pq, a = _mean_phase(self.table, x)
+        return 2.0 * self.dphi(a)[0][..., None] * (self.table @ pq[..., None])[..., 0] \
+            + self.b
 
     def gradient(self, x):
         """dF/dx per point; empty occupations are read at _EMPTY."""
         return self.field(x) \
             + self.params.temperature * (np.log(np.maximum(x, _EMPTY)) + 1.0)
 
-    def energy_hessian(self, x):
-        """d2E/dx2 = 2 phi'(A) (c c^T + s s^T) + phi''(A) a a^T, per point."""
-        da, d1, d2 = self._slopes(x)
-        return 2.0 * d1[..., None] * (self.table @ self.table.T) \
-            + d2[..., None] * (da[..., :, None] * da[..., None, :])
+    def curvature(self, x):
+        """K = 2 phi'(A) I + 4 phi''(A) p p^T per point, shape (..., 2, 2)."""
+        pq, a = _mean_phase(self.table, x)
+        d1, d2 = self.dphi(a)
+        return 2.0 * d1[..., None, None] * np.eye(2) \
+            + 4.0 * d2[..., None, None] * (pq[..., :, None] * pq[..., None, :])
 
 
 def _evaluate(params: ModelParams, x: np.ndarray) -> ThermoEval:
@@ -205,7 +198,8 @@ def _evaluate(params: ModelParams, x: np.ndarray) -> ThermoEval:
     if interior:
         w = _charts(params.l.twice_l)[1][:, 1:]          # d x_sigma / d m_k
         grad = kernel.gradient(x) @ w
-        hess = w.T @ ((kernel.energy_hessian(x) + np.diag(t / x)) @ w)
+        j = kernel.table.T @ w                             # d p / d m_k
+        hess = j.T @ kernel.curvature(x) @ j + (w.T * (t / x)) @ w
         hess = 0.5 * (hess + hess.T)
 
     return ThermoEval(

@@ -13,7 +13,8 @@ import numpy as np
 import pytest
 from scipy.optimize import minimize_scalar
 
-from curieweiss import cli, equilibrium
+from curieweiss import MAX_COMPOSITIONS, MAX_TWICE_L, cli, equilibrium
+from curieweiss.oracle import MAX_RAW_CONFIGURATIONS
 from curieweiss.errors import InfeasibleMoments
 
 
@@ -70,6 +71,25 @@ def test_config_file_options_a_command_does_not_read(tmp_path):
     assert set(rep["config"]) == {"l", "j2", "j4", "j6", "j8", "temp", "g",
                                   "sector", "h0", "seed", "format"}
     assert rep["config"]["temp"] == 0.35
+
+
+@pytest.mark.parametrize(
+    "command, loaded",
+    [
+        ("landscape", {"format": "xml"}),
+        ("landscape", {"profile": "no"}),
+        ("minima", {"l": 2.9}),
+        ("minima", {"seed": 1.7}),
+    ],
+)
+def test_config_file_values_are_checked_like_flags(tmp_path, command, loaded):
+    # each loaded value passes its flag's type and choices: a switch takes
+    # a JSON bool and an integer option a whole number, or the run is refused
+    cfg = tmp_path / "cfg.json"
+    cfg.write_text(json.dumps(loaded))
+    rc, out, err = run([command, "--config", str(cfg)])
+    assert rc == cli.EXIT_USAGE and not out
+    assert f"config key {next(iter(loaded))!r}" in err
 
 
 # --- 2. critical ---
@@ -471,6 +491,15 @@ def test_readme_option_table_matches_cli():
                     if readers is None or cmd in readers}
         assert flags(common) | further == accepted, cmd
         assert not flags(common) & further, cmd
+
+
+def test_readme_limits_match_code():
+    # the caps that README's limits quote are the ones the code enforces
+    text = " ".join((pathlib.Path(__file__).parent.parent / "README.md").read_text().split())
+    quoted = re.findall(r"2l up to (\d+)|up to (\d+) for l = ", text)
+    assert len(quoted) == 2 and {int(a or b) for a, b in quoted} == {MAX_TWICE_L}
+    assert float(re.search(r"above (\S+) compositions", text)[1]) == MAX_COMPOSITIONS
+    assert float(re.search(r"\(2l \+ 1\)\^N ≤ (\S+)", text)[1]) == MAX_RAW_CONFIGURATIONS
 
 
 def test_version_flag():

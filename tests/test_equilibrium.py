@@ -34,6 +34,7 @@ from curieweiss import (
 from curieweiss import equilibrium
 from curieweiss.equilibrium import _Profile
 from curieweiss.thermo import _Kernel
+from test_thermo import dense_energy_hessian
 
 L1 = SpinQuantum(2)
 
@@ -548,7 +549,7 @@ def dense_stability_eig(kernel, t, x):
     r (H_E + T diag(1/x)) r on a complete QR basis of the complement of
     r = sqrt(x), then the smallest of its 2l eigenvalues, per row.
     """
-    hess = kernel.energy_hessian(x[:, None])[:, 0]
+    hess = dense_energy_hessian(kernel, x)
     r = np.sqrt(x)
     basis = np.linalg.qr(r[:, :, None], mode="complete")[0][..., 1:]
     scaled = r[:, :, None] * hess * r[:, None]
@@ -583,6 +584,55 @@ def test_stability_eig_matches_dense_reference(twice_l):
             for k in range(1, n):
                 rolled = equilibrium._stability_eig(kernel, t, np.roll(x, k, axis=1))
                 assert np.all(np.abs(rolled - eig) <= bound)
+
+
+def dense_kkt_step(kernel, x, res, mu):
+    """_settle's shifted Newton step by the full (2l+2)-square KKT solve.
+
+    ((1 + mu/T) I + H_E diag(x)/T) du - c 1 = -res, x.du = 0, per row.
+    """
+    t = kernel.params.temperature
+    s, n = x.shape
+    hess = (1.0 + mu / t)[:, None, None] * np.eye(n) \
+        + dense_energy_hessian(kernel, x) * (x[:, None] / t)
+    kkt = np.block([[hess, -np.ones((s, n, 1))], [x[:, None], np.zeros((s, 1, 1))]])
+    rhs = np.append(-res, np.zeros((s, 1)), axis=1)
+    return np.linalg.solve(kkt, rhs[..., None])[:, :n, 0]
+
+
+@pytest.mark.parametrize("twice_l", range(1, 21))
+def test_settle_step_matches_dense_kkt(twice_l):
+    # the 2x2 mean-phase step against the full KKT solve on random rows,
+    # near-vertex rows (log weights scaled by 30) and the paramagnet, with
+    # tangent residuals (x.res = 0); the rows cover mu = 0 and mu > 0
+    rng = np.random.default_rng(100 + twice_l)
+    n = twice_l + 1
+    shifted = []
+    for case in range(6):
+        kw = dict(zip(("j2", "j4", "j6", "j8"), rng.uniform(-1.0, 1.0, 4)))
+        if case >= 3:
+            kw.update(g=rng.uniform(0.0, 0.2),
+                      sector=Fraction(int(rng.integers(n))) - Fraction(twice_l, 2))
+        if case == 5 and twice_l == 2:
+            kw.update(h0=rng.uniform(-0.2, 0.2))
+        pr = ModelParams(SpinQuantum(twice_l), temperature=rng.uniform(0.02, 0.5), **kw)
+        kernel = _Kernel(pr)
+        u = np.vstack([rng.normal(size=(10, n)), 30.0 * rng.normal(size=(10, n)),
+                       np.zeros((1, n))])
+        x = np.exp(u - u.max(axis=1, keepdims=True))
+        x /= x.sum(axis=1, keepdims=True)
+        res = rng.normal(size=x.shape)
+        res -= (x * res).sum(axis=1, keepdims=True)
+        eig = dense_stability_eig(kernel, pr.temperature, x)
+        mu = np.maximum(0.0, -2.0 * eig)
+        shifted.extend(mu > 0.0)
+        du = equilibrium._newton_step(kernel, x, res)
+        ref = dense_kkt_step(kernel, x, res, mu)
+        # both solves lose accuracy with the condition of the shifted system,
+        # at least (T + mu) / (eig + mu) on the softest tangent direction
+        cond = np.maximum(1.0, (pr.temperature + mu) / (eig + mu))
+        assert np.all(np.abs(du - ref).max(axis=1) <= 1e-12 * cond * np.abs(ref).max(axis=1))
+    assert 0 < sum(shifted) < len(shifted)
 
 
 def test_minimize_orbit_exact_past_chart_resolution():

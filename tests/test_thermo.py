@@ -25,6 +25,8 @@ from curieweiss import (
     weights_to_moments,
     weights_to_moments_array,
 )
+from curieweiss.order_params import _charts
+from curieweiss.thermo import _Kernel
 
 ALL_FIVE = (1, 2, 3, 4, 5)
 
@@ -191,6 +193,34 @@ def test_hessian_against_finite_differences(twice_l):
         fd = fd_hessian(f, m, h)
         rel = np.linalg.norm(fd - ev.hessian) / np.linalg.norm(ev.hessian)
         assert rel < 1e-4
+
+
+def dense_energy_hessian(kernel, x):
+    """d2E/dx2 = 2 phi'(A) C C^T + phi''(A) a a^T per row of x, a = dA/dx = 2 C p.
+
+    The (2l+1)-square energy Hessian built in full, for the references that
+    check the rank-2 mean-phase forms.
+    """
+    table = kernel.table
+    pq = x @ table
+    d1, d2 = kernel.dphi((pq * pq).sum(axis=-1))
+    da = 2.0 * pq @ table.T
+    return 2.0 * d1[..., None, None] * (table @ table.T) \
+        + d2[..., None, None] * (da[..., :, None] * da[..., None, :])
+
+
+@pytest.mark.parametrize("twice_l", range(1, 9))
+def test_hessian_matches_dense_weight_hessian(twice_l):
+    # J^T K J + W^T diag(T/x) W against W^T (H_E + diag(T/x)) W built in full
+    l = SpinQuantum(twice_l)
+    pr = generic_params(twice_l, with_field=True)
+    w = _charts(twice_l)[1][:, 1:]
+    x = random_weights(l, np.random.default_rng(400 + twice_l), n=20)
+    for xi in 0.85 * x + 0.15 / l.n_states:
+        ev = free_energy_weights(pr, xi)
+        ref = w.T @ (dense_energy_hessian(_Kernel(pr), xi) + np.diag(pr.temperature / xi)) @ w
+        ref = 0.5 * (ref + ref.T)
+        assert np.abs(ev.hessian - ref).max() <= 1e-12 * np.abs(ref).max()
 
 
 def test_three_state_stability_diagonals():
