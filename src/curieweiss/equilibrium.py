@@ -1,17 +1,18 @@
 """Equilibrium states: minimization, mean-field profile, critical points.
 
-Minimization runs over the occupation simplex from a deterministic set
-of starts, each along one descent path in the log weights u (x =
-softmax(u)) toward the mean-field condition x ~ exp(-h(x)/T), by Newton
-steps whose Hessian is shifted by twice any negative stability number.
-Stationary points are deduplicated by their weights, not their moments,
-and saddles are reported only when a start lands on one.  The
-three-state magnet additionally gets closed forms along its symmetric
-m1 = 0 profile, all read from one F(m2, T) object with h0 = 0: the
-mean-field root (g in sector 0 allowed) and, for the bare magnet, the
-spinodal and critical temperatures and the coupling threshold above which
-nothing blocks registration.  For every l, branch_thresholds finds the
-spinodal and critical temperatures on the explicit reflection-axis branches.
+F depends on the weights only through the mean phase p and a linear term,
+so every stationary point is x(lam) = softmax((C lam - b)/T) for a
+two-vector lam.  Minimization descends in lam from a seeded set of
+starts, by Newton steps on the self-consistency map lam + 2 phi'(A) p = 0
+shifted by twice any negative stability number.  Stationary points are
+deduplicated by their weights, and saddles are reported only when a
+start lands on one.  The three-state magnet additionally gets closed
+forms along its symmetric m1 = 0 profile, all read from one F(m2, T)
+object with h0 = 0: the mean-field root (g in sector 0 allowed) and, for
+the bare magnet, the spinodal and critical temperatures and the coupling
+threshold above which nothing blocks registration.  For every l,
+branch_thresholds finds the spinodal and critical temperatures on the
+explicit reflection-axis branches.
 """
 
 from __future__ import annotations
@@ -24,11 +25,7 @@ import numpy as np
 from scipy.optimize import brentq
 
 from .errors import NoSolutionInBracket, NonConvergence
-from .order_params import (
-    MomentVector,
-    random_weights,
-    weights_to_moments_array,
-)
+from .order_params import MomentVector, weights_to_moments_array
 from .spectrum import SpinQuantum
 from .thermo import ModelParams, _entropy, _Kernel, _mean_phase, free_energy_weights
 
@@ -73,8 +70,8 @@ class CriticalPoint:
 
 
 def _curvature(kernel: _Kernel, t: float, x: np.ndarray):
-    """Centred phases (c - p)^T (S, 2, 2l+1), K Sigma and K (S, 2, 2) and the
-    stability number (S,), per row of x, shape (S, 2l+1).
+    """Sigma and K Sigma (S, 2, 2) and the stability number (S,), per row of
+    x, shape (S, 2l+1).
 
     H_E = C K C^T has rank 2, so on the simplex it acts through K Sigma,
     Sigma = sum x (c - p)(c - p)^T summed centred (C^T X C - p p^T cancels).
@@ -95,130 +92,124 @@ def _curvature(kernel: _Kernel, t: float, x: np.ndarray):
     else:
         low = half_tr - np.sqrt(np.maximum(0.0, half_gap**2 + m[:, 0, 1] * m[:, 1, 0]))
         eig = t + (low if x.shape[-1] == 3 else np.minimum(low, 0.0))
-    return dev, m, k, eig
+    return cov, m, eig
 
 
 def _stability_eig(kernel: _Kernel, t: float, x: np.ndarray) -> np.ndarray:
     """The stability number of _curvature at temperature t, one per row of x."""
-    return _curvature(kernel, t, x)[3]
+    return _curvature(kernel, t, x)[2]
 
 
-def _softmax(u: np.ndarray):
-    u = u - u.max(axis=-1, keepdims=True)  # same x, per row; keeps u bounded
-    z = np.exp(u)
-    return u, z / z.sum(axis=-1, keepdims=True)
+def _softmax(v: np.ndarray) -> np.ndarray:
+    v = v - v.max(axis=-1, keepdims=True)  # same x, per row; keeps exp bounded
+    z = np.exp(v)
+    return z / z.sum(axis=-1, keepdims=True)
 
 
-def _residual(kernel: _Kernel, u: np.ndarray, x: np.ndarray) -> np.ndarray:
-    """h(x)/T + u less its x-weighted mean, per row; zero where x is stationary."""
-    r = kernel.field(x[:, None]) / kernel.params.temperature + u[:, None]
-    return (r - x[:, None] @ r.swapaxes(1, 2))[:, 0]
+def _phase_point(kernel: _Kernel, lam: np.ndarray):
+    """The weights x = softmax((C lam - b)/T), F there, the gap g = lam +
+    2 phi'(A) p and the tangent gradient max_sigma |(c_sigma - p).g|, per row
+    of lam, shape (S, 2).
 
-
-def _newton_step(kernel: _Kernel, x: np.ndarray, res: np.ndarray) -> np.ndarray:
-    """_settle's step du in the log weights, per row of x and res (x.res = 0).
-
-    The KKT system (alpha I + H_E diag(x)/T) du = -res + c 1, x.du = 0, alpha
-    = 1 + mu/T with _settle's shift mu, is one 2x2 solve for v = D^T diag(x)
-    du: with H_E = C K C^T, the centred phases D = C - 1 p^T and x^T D = 0
-    the multiplier c drops out,
-
-        (alpha I + (K Sigma)^T / T) v = -D^T (x res),  du = -(res + D K v / T) / alpha.
+    Every stationary point of F on the simplex is such an x with g = 0.  The
+    tangent gradient is T times the mean-field residual h/T + ln x less its
+    x-weighted mean, read from g, so it stays exact where occupations
+    underflow.  F's gradient in lam is Sigma g / T and g's Jacobian is
+    I + K Sigma / T (_curvature).  Products are elementwise per row.
     """
     t = kernel.params.temperature
-    dev, k_cov, k, eig = _curvature(kernel, t, x)
-    alpha = 1.0 + np.maximum(0.0, -2.0 * eig) / t
-    v = np.linalg.solve(alpha[:, None, None] * np.eye(2) + k_cov.swapaxes(1, 2) / t,
-                        -(dev * (x * res)[:, None]).sum(axis=-1)[..., None])
-    kv = (k * v.swapaxes(1, 2)).sum(axis=-1)
-    return -(res + (dev * kv[..., None]).sum(axis=1) / t) / alpha[:, None]
+    c = kernel.table
+    x = _softmax((c[:, 0] * lam[:, :1] + c[:, 1] * lam[:, 1:] - kernel.b) / t)
+    pq, a = (v[:, 0] for v in _mean_phase(c, x[:, None]))
+    gap = lam + 2.0 * kernel.dphi(a)[0][:, None] * pq
+    tangent = np.abs((c[:, 0] - pq[:, :1]) * gap[:, :1]
+                     + (c[:, 1] - pq[:, 1:]) * gap[:, 1:]).max(axis=-1)
+    return x, kernel.value(x[:, None])[:, 0], gap, tangent
 
 
-def _settle(kernel: _Kernel, u: np.ndarray):
-    """Descend F from every row of log weights u, shape (S, 2l+1), at once.
+def _settle(kernel: _Kernel, lam: np.ndarray):
+    """Descend F from every row of lam, shape (S, 2), at once; return per row
+    the final x(lam), its tangent gradient (_phase_point) and the steps.
 
-    Returns per row the final x = softmax(u), T max|res| there (the largest
-    component of the tangent gradient of F in the weights) and the steps.
-
-    Each step is _newton_step's, Newton's with the Hessian shifted by mu =
-    max(0, -2 lambda), lambda the stability number.  In sqrt(x)-scaled
-    tangent coordinates mu adds to the stability matrix, so the factor 2
-    mirrors lambda < 0 to |lambda|: mu = 0 where F is locally convex, and for
-    large mu du tends to the mean-field step -res times T/(T + mu).  Steps
-    backtrack on F (Armijo), or, with F within its roundoff, are taken if they
-    halve max|res|.  Carrying u rather than x keeps occupations far below the
-    moment chart's resolution exact.
+    Each step is Newton's on the self-consistency map g(lam) = 0, shifted:
+    ((1 + mu/T) I + K Sigma / T) dlam = -g with mu = max(0, -2 lambda),
+    lambda the stability number.  In sqrt(x)-scaled tangent coordinates mu
+    adds to the stability matrix, so the factor 2 mirrors lambda < 0 to
+    |lambda|: mu = 0 where F is locally convex, and for large mu dlam tends
+    to the mean-field step -g T/(T + mu).  The step descends F, whose
+    gradient is Sigma g / T.  Steps backtrack on F (Armijo), or, with F
+    within its roundoff, are taken if they halve the tangent gradient.
 
     Each step solves the stacked 2x2 systems of the rows still live, and each
     backtracking round re-evaluates only the rows still halving.  A row
-    retires once max|res| < 1e-13 or its step falls to 1e-14; every product
-    is stacked per row, so its path is the one it would take alone.
+    retires once its tangent gradient is below 1e-13 T or its step falls to
+    1e-14; every product is stacked per row, so its path is the one it would
+    take alone.
     """
     t = kernel.params.temperature
-    u, x = _softmax(u)
-    f = kernel.value(x[:, None])[:, 0]
-    res = _residual(kernel, u, x)
-    size = np.abs(res).max(axis=-1)
-    steps, stuck = np.zeros(len(u), dtype=int), np.zeros(len(u), dtype=bool)
+    lam = np.array(lam, dtype=float)
+    x, f, gap, tangent = _phase_point(kernel, lam)
+    steps, stuck = np.zeros(len(lam), dtype=int), np.zeros(len(lam), dtype=bool)
     for _ in range(ITERATION_CAP):
-        live = np.flatnonzero((size >= 1e-13) & ~stuck)
+        live = np.flatnonzero((tangent >= 1e-13 * t) & ~stuck)
         if not live.size:
             break
         steps[live] += 1
-        xl, rl = x[live], res[live]
-        du = _newton_step(kernel, xl, rl)
-        slope = t * (xl[:, None] @ (rl * du)[:, :, None])[:, 0, 0]
+        cov, k_cov, eig = _curvature(kernel, t, x[live])
+        alpha = 1.0 + np.maximum(0.0, -2.0 * eig) / t
+        d = np.linalg.solve(alpha[:, None, None] * np.eye(2) + k_cov / t,
+                            -gap[live][..., None])[..., 0]
+        slope = (gap[live][:, :, None] * cov * d[:, None]).sum(axis=(1, 2)) / t
         step = np.ones(live.size)
         halving = np.arange(live.size)
         while halving.size:
             rows = live[halving]
-            u_new, x_new = _softmax(u[rows] + step[halving, None] * du[halving])
-            f_new = kernel.value(x_new[:, None])[:, 0]
-            res_new = _residual(kernel, u_new, x_new)
-            size_new = np.abs(res_new).max(axis=-1)
+            lam_new = lam[rows] + step[halving, None] * d[halving]
+            x_new, f_new, gap_new, tangent_new = _phase_point(kernel, lam_new)
             f_old = f[rows]
             ok = (f_new < f_old + 1e-4 * step[halving] * slope[halving]) | (
                 (f_new <= f_old + 1e-14 * np.maximum(1.0, np.abs(f_old)))
-                & (size_new <= 0.5 * size[rows]))
+                & (tangent_new <= 0.5 * tangent[rows]))
             done = rows[ok]
-            u[done], x[done], f[done] = u_new[ok], x_new[ok], f_new[ok]
-            res[done], size[done] = res_new[ok], size_new[ok]
+            lam[done], x[done], f[done] = lam_new[ok], x_new[ok], f_new[ok]
+            gap[done], tangent[done] = gap_new[ok], tangent_new[ok]
             halving = halving[~ok]
             step[halving] *= 0.5
             stuck[live[halving[step[halving] <= 1e-14]]] = True
             halving = halving[step[halving] > 1e-14]
-    return x, t * size, steps
+    return x, tangent, steps
 
 
 def minimize(params: ModelParams, seed: int = 0) -> list[Minimum]:
     """Multi-start minimization of F over the occupation simplex.
 
-    Starts: the paramagnet, every vertex pulled 1e-3 into the interior,
-    and RANDOM_STARTS uniform simplex samples.  All starts descend as one
-    batch by shifted Newton steps (_settle: Newton's step where F is
-    locally convex, shifted toward the mean-field direction elsewhere).
-    Endpoints whose tangent gradient in the weights (T times the final
-    mean-field residual, exact in the log weights even where occupations
-    underflow) is below GRAD_TOL are deduplicated within 1e-6 in the max
-    norm of their weights and returned sorted by free energy; points
-    degenerate with the lowest are labeled "global", the rest "local".
-    The descent leaves saddles, so a stationary point with a negative
-    Hessian direction is reported ("saddle-rejected") only when a start
-    lands on one, e.g. the symmetric paramagnet start.  Raises
-    NonConvergence with the best iterate when no start converges.  Each
-    orbit member is computed from the cyclically shifted weights, not by
-    iterating the affine map on moments, so it carries no compounded
-    roundoff.
+    Every stationary point has weights x(lam) = softmax((C lam - b)/T) for a
+    mean-phase vector lam with |lam| <= R = |J2| + |J4| + |J6| + |J8|, so the
+    descent runs in lam (_settle).  Starts: lam = 0, R c_sigma toward each
+    vertex, and RANDOM_STARTS points uniform in the disk |lam| <= R drawn
+    from seed.  All starts descend as one batch by shifted Newton steps
+    (Newton's step where F is locally convex, shifted toward the mean-field
+    direction elsewhere).  Endpoints whose tangent gradient (T times the
+    final mean-field residual, exact even where occupations underflow) is
+    below GRAD_TOL are deduplicated within 1e-6 in the max norm of their
+    weights and returned sorted by free energy; points degenerate with the
+    lowest are labeled "global", the rest "local".  The descent leaves
+    saddles, so a stationary point with a negative Hessian direction is
+    reported ("saddle-rejected") only when a start lands on one, e.g. the
+    symmetric paramagnet start.  Raises NonConvergence with the best
+    iterate when no start converges.  Each orbit member is computed from
+    the cyclically shifted weights, not by iterating the affine map on
+    moments, so it carries no compounded roundoff.
     """
     l = params.l
-    n = l.n_states
-    rng = np.random.default_rng(seed)
-    uniform = np.full(n, 1.0 / n)
-    starts = np.vstack([uniform, 0.999 * np.eye(n) + 0.001 * uniform,
-                        random_weights(l, rng, RANDOM_STARTS)])
-
     kernel = _Kernel(params)
-    x, tangent_grad, _ = _settle(kernel, np.log(starts))
+    reach = abs(params.j2) + abs(params.j4) + abs(params.j6) + abs(params.j8)
+    radius, turn = np.random.default_rng(seed).uniform(size=(2, RANDOM_STARTS))
+    disk = reach * np.sqrt(radius) * np.exp(2j * math.pi * turn)
+    starts = np.vstack([np.zeros((1, 2)), reach * kernel.table,
+                        np.column_stack([disk.real, disk.imag])])
+
+    x, tangent_grad, _ = _settle(kernel, starts)
     # renormalized as free_energy_weights does; a**k on rows can differ from
     # its scalar pow in the last bit, so F agrees with it to about 1e-16
     f = kernel.value((x / x.sum(axis=-1, keepdims=True))[:, None])[:, 0]
@@ -247,7 +238,7 @@ def minimize(params: ModelParams, seed: int = 0) -> list[Minimum]:
         else:
             label = "local"
         orbit = [MomentVector(l, weights_to_moments_array(l, np.roll(x[i], k)))
-                 for k in range(n)]
+                 for k in range(l.n_states)]
         out.append(Minimum(m_star=orbit[0], f_value=float(f[i]), classification=label,
                            hessian_eigen_min=float(eig_min), orbit=orbit))
     return out
@@ -475,7 +466,7 @@ def critical_coupling(params: ModelParams) -> CriticalPoint:
 
 def _axis_branch(kernel: _Kernel, c: np.ndarray, kappa):
     """x = softmax(kappa c), its T, dT/dkappa and F + T ln n; kappa 0-D or 1-D."""
-    x = _softmax(np.multiply.outer(kappa, c))[1]
+    x = _softmax(np.multiply.outer(kappa, c))
     r = x @ c
     a = r * r
     d1, d2 = kernel.dphi(a)
@@ -502,9 +493,10 @@ def branch_thresholds(params: ModelParams) -> tuple[CriticalPoint, CriticalPoint
     n = params.l.n_states
     kappa = np.geomspace(1e-3, 50.0, 2000)
 
-    edge, folds, crossings = 0.0, {}, {}  # temperature -> log weights kappa c
+    edge, folds, crossings = 0.0, {}, {}  # temperature -> lam / T = kappa e
     for alpha in (0.0, math.pi / n):
-        c = kernel.table @ np.array([math.cos(alpha), math.sin(alpha)])
+        e = np.array([math.cos(alpha), math.sin(alpha)])
+        c = kernel.table @ e
         if c @ c < 0.5:
             continue  # at 2l = 1, cos(theta_sigma) = 0: no alpha = 0 axis
         edge = params.j2 * (c @ c) / n
@@ -513,24 +505,25 @@ def branch_thresholds(params: ModelParams) -> tuple[CriticalPoint, CriticalPoint
             x, t, _, _ = branch(k * (1.0 + 1e-3))
             if t <= 0.0 or _stability_eig(kernel, t, x[None])[0] <= 0.0:
                 continue
-            folds[branch(k)[1]] = k * c
+            folds[branch(k)[1]] = k * e
             gaps = _sign_change_roots(lambda k: branch(k)[3],
                                       np.append(k, kappa[kappa > k]))
             if gaps:
-                crossings[branch(gaps[0])[1]] = gaps[0] * c
+                crossings[branch(gaps[0])[1]] = gaps[0] * e
     continuous = float(edge > 0.0 and all(t <= edge for t in folds))
     if continuous:
-        folds = crossings = {edge: np.zeros(n)}
+        folds = crossings = {edge: np.zeros(2)}
     if not folds:
         raise NoSolutionInBracket("no symmetry-broken branch at a positive temperature")
 
     def point(kind, found, name, check):
         t = max(found)
-        at, u = _Kernel(replace(params, temperature=t)), found[t]
-        x = _softmax(u)[1]
+        at = _Kernel(replace(params, temperature=t))
+        x, _, _, tangent = _phase_point(at, t * found[t][None])
+        x = x[0]
         m = MomentVector(params.l, weights_to_moments_array(params.l, x))
         return CriticalPoint(kind, float(t), m, {
-            "stationarity": float(t * np.abs(_residual(at, u[None], x[None])).max()),
+            "stationarity": float(tangent[0]),
             name: abs(float(check(at, x))), "continuous": continuous})
 
     return (point("spinodal", folds, "fold_eigenvalue",

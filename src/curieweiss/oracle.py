@@ -10,6 +10,7 @@ not a production path.
 from __future__ import annotations
 
 import math
+import operator
 from dataclasses import dataclass
 
 import numpy as np
@@ -162,9 +163,14 @@ def nearest_composition(n_spins: int, weights: np.ndarray) -> np.ndarray:
     """Integer composition of n_spins closest to n_spins * weights.
 
     Largest-remainder rounding; ties go to the lower index so the result
-    is deterministic.  Raises ValueError unless n_spins >= 1 and the
-    weights are at least -FEASIBILITY_TOL and sum to 1 (so are finite).
+    is deterministic.  Raises ValueError unless n_spins is an integer
+    (anything operator.index takes) >= 1 and the weights are at least
+    -FEASIBILITY_TOL and sum to 1 (so are finite).
     """
+    try:
+        n_spins = operator.index(n_spins)
+    except TypeError:
+        raise ValueError(f"n_spins must be an integer, got {n_spins!r}") from None
     w = np.asarray(weights, dtype=float)
     if n_spins < 1 or not ((w >= -FEASIBILITY_TOL).all()
                            and abs(w.sum() - 1.0) <= 1e-9):

@@ -500,6 +500,14 @@ def test_readme_limits_match_code():
     assert len(quoted) == 2 and {int(a or b) for a, b in quoted} == {MAX_TWICE_L}
     assert float(re.search(r"above (\S+) compositions", text)[1]) == MAX_COMPOSITIONS
     assert float(re.search(r"\(2l \+ 1\)\^N ≤ (\S+)", text)[1]) == MAX_RAW_CONFIGURATIONS
+    # and so are the minimizer's tolerance, start count and step cap
+    assert float(re.search(r"`GRAD_TOL` = (\S+)", text)[1].rstrip(".")) == equilibrium.GRAD_TOL
+    random_starts = int(re.search(r"`RANDOM_STARTS` = (\d+)", text)[1])
+    assert random_starts == equilibrium.RANDOM_STARTS
+    cap = re.search(r"`ITERATION_CAP` = (\d[\d ]*\d)", text)[1]
+    assert int(cap.replace(" ", "")) == equilibrium.ITERATION_CAP
+    # lam = 0, one start toward each of the 2l + 1 vertices, the random ones
+    assert int(re.search(r"2l \+ (\d+) starts", text)[1]) == 2 + random_starts
 
 
 def test_version_flag():

@@ -33,6 +33,7 @@ from curieweiss import (
 )
 from curieweiss import equilibrium
 from curieweiss.equilibrium import _Profile
+from curieweiss.order_params import moments_to_weights_array
 from curieweiss.thermo import _Kernel
 from test_thermo import dense_energy_hessian
 
@@ -532,7 +533,7 @@ def test_settle_rows_independent_of_the_batch(monkeypatch, twice_l):
                         lambda kernel, u: calls.append((kernel, u)) or settle(kernel, u))
     minimize(pr)
     kernel, u = calls[0]
-    assert u.shape == (twice_l + 22, twice_l + 1)
+    assert u.shape == (twice_l + 22, 2)
     x, tangent_grad, steps = settle(kernel, u)
     t = pr.temperature
     eig = equilibrium._stability_eig(kernel, t, x)
@@ -586,28 +587,15 @@ def test_stability_eig_matches_dense_reference(twice_l):
                 assert np.all(np.abs(rolled - eig) <= bound)
 
 
-def dense_kkt_step(kernel, x, res, mu):
-    """_settle's shifted Newton step by the full (2l+2)-square KKT solve.
-
-    ((1 + mu/T) I + H_E diag(x)/T) du - c 1 = -res, x.du = 0, per row.
-    """
-    t = kernel.params.temperature
-    s, n = x.shape
-    hess = (1.0 + mu / t)[:, None, None] * np.eye(n) \
-        + dense_energy_hessian(kernel, x) * (x[:, None] / t)
-    kkt = np.block([[hess, -np.ones((s, n, 1))], [x[:, None], np.zeros((s, 1, 1))]])
-    rhs = np.append(-res, np.zeros((s, 1)), axis=1)
-    return np.linalg.solve(kkt, rhs[..., None])[:, :n, 0]
-
-
 @pytest.mark.parametrize("twice_l", range(1, 21))
-def test_settle_step_matches_dense_kkt(twice_l):
-    # the 2x2 mean-phase step against the full KKT solve on random rows,
-    # near-vertex rows (log weights scaled by 30) and the paramagnet, with
-    # tangent residuals (x.res = 0); the rows cover mu = 0 and mu > 0
+def test_phase_derivatives_match_finite_differences(twice_l):
+    # _settle's Newton step solves (alpha I + K Sigma / T) dlam = -g: central
+    # differences of _phase_point (h = 1e-6 T) on random rows, near-vertex
+    # rows (|lam| = 30 T) and lam = 0 give g's Jacobian I + K Sigma / T and
+    # F's gradient Sigma g / T; the tangent output is T max|residual| of
+    # the weight-space gradient at x(lam)
     rng = np.random.default_rng(100 + twice_l)
     n = twice_l + 1
-    shifted = []
     for case in range(6):
         kw = dict(zip(("j2", "j4", "j6", "j8"), rng.uniform(-1.0, 1.0, 4)))
         if case >= 3:
@@ -616,23 +604,52 @@ def test_settle_step_matches_dense_kkt(twice_l):
         if case == 5 and twice_l == 2:
             kw.update(h0=rng.uniform(-0.2, 0.2))
         pr = ModelParams(SpinQuantum(twice_l), temperature=rng.uniform(0.02, 0.5), **kw)
-        kernel = _Kernel(pr)
-        u = np.vstack([rng.normal(size=(10, n)), 30.0 * rng.normal(size=(10, n)),
-                       np.zeros((1, n))])
-        x = np.exp(u - u.max(axis=1, keepdims=True))
-        x /= x.sum(axis=1, keepdims=True)
-        res = rng.normal(size=x.shape)
-        res -= (x * res).sum(axis=1, keepdims=True)
-        eig = dense_stability_eig(kernel, pr.temperature, x)
-        mu = np.maximum(0.0, -2.0 * eig)
-        shifted.extend(mu > 0.0)
-        du = equilibrium._newton_step(kernel, x, res)
-        ref = dense_kkt_step(kernel, x, res, mu)
-        # both solves lose accuracy with the condition of the shifted system,
-        # at least (T + mu) / (eig + mu) on the softest tangent direction
-        cond = np.maximum(1.0, (pr.temperature + mu) / (eig + mu))
-        assert np.all(np.abs(du - ref).max(axis=1) <= 1e-12 * cond * np.abs(ref).max(axis=1))
-    assert 0 < sum(shifted) < len(shifted)
+        kernel, t = _Kernel(pr), pr.temperature
+        angle = rng.uniform(0.0, 2.0 * math.pi, 10)
+        lam = np.vstack([rng.normal(size=(10, 2)),
+                         30.0 * t * np.column_stack([np.cos(angle), np.sin(angle)]),
+                         np.zeros((1, 2))])
+        x, f, gap, tangent = equilibrium._phase_point(kernel, lam)
+        cov, k_cov, _ = equilibrium._curvature(kernel, t, x)
+        jac = np.eye(2) + k_cov / t
+        grad = (cov * gap[:, None]).sum(axis=-1) / t
+
+        h = 1e-6 * t
+        fd_jac, fd_grad = np.empty_like(jac), np.empty_like(lam)
+        for j, step in enumerate(h * np.eye(2)):
+            _, f_up, gap_up, _ = equilibrium._phase_point(kernel, lam + step)
+            _, f_down, gap_down, _ = equilibrium._phase_point(kernel, lam - step)
+            fd_jac[:, :, j] = (gap_up - gap_down) / (2.0 * h)
+            fd_grad[:, j] = (f_up - f_down) / (2.0 * h)
+        scale = np.abs(jac).max(axis=(1, 2))
+        assert np.all(np.abs(fd_jac - jac).max(axis=(1, 2)) <= 1e-6 * scale)
+        # the differenced gradient is no better than F's roundoff over 2h
+        floor = 1e-16 * np.maximum(1.0, np.abs(f)) / h
+        size = np.abs(grad).max(axis=1)
+        assert np.all(np.abs(fd_grad - grad).max(axis=1) <= 1e-6 * size + 10.0 * floor)
+
+        full = kernel.gradient(x[:, None])[:, 0]
+        ref = np.abs(full - (x * full).sum(axis=1, keepdims=True)).max(axis=1)
+        assert np.all(np.abs(tangent - ref) <= 1e-13 * np.maximum(1.0, np.abs(lam).max(axis=1)))
+
+
+def test_settle_steps_are_newton_steps(monkeypatch):
+    # a sector-1 coupling with h0 leaves no reflection axis, so K Sigma is
+    # not symmetric at the minima; one step from 1e-4 off each squares the
+    # tangent gradient (at most 0.26 t0**2 measured), as Newton's step on g
+    # does and a step solved with (K Sigma)^T (8.6 t0**2 or more) does not
+    pr = ModelParams(L1, temperature=0.2, j4=1.0, g=0.1, sector=Fraction(1), h0=0.1)
+    kernel = _Kernel(pr)
+    x = np.array([moments_to_weights_array(L1, r.m_star.values) for r in minimize(pr)
+                  if r.classification != "saddle-rejected"])
+    pq = x @ kernel.table
+    lam = -2.0 * kernel.dphi((pq * pq).sum(axis=1))[0][:, None] * pq
+    kick = 1e-4 * np.random.default_rng(0).normal(size=(4 * len(x), 2))
+    start = np.repeat(lam, 4, axis=0) + kick
+    before = equilibrium._phase_point(kernel, start)[3]
+    monkeypatch.setattr(equilibrium, "ITERATION_CAP", 1)
+    after = equilibrium._settle(kernel, start)[1]
+    assert len(x) == 3 and np.all(after <= before**2)
 
 
 def test_minimize_orbit_exact_past_chart_resolution():

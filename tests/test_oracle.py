@@ -237,6 +237,18 @@ def test_nearest_composition_rounding():
             nearest_composition(n, np.array(w))
 
 
+def test_composition_helpers_need_an_integer_n():
+    # a fractional N has no composition; numpy integers are integers
+    w = np.array([0.2, 0.3, 0.5])
+    for n in (2.5, 10.0, np.float64(10.0), "10"):
+        with pytest.raises(ValueError):
+            nearest_composition(n, w)
+        with pytest.raises(ValueError):
+            stirling_entropy_error(L1, n, w)
+    np.testing.assert_array_equal(nearest_composition(np.int64(10), w), [2, 3, 5])
+    assert stirling_entropy_error(L1, np.int32(10), w) == stirling_entropy_error(L1, 10, w)
+
+
 def test_stirling_error_decays():
     x = np.array([0.25, 0.25, 0.5])
     errs = [stirling_entropy_error(L1, n, x) for n in (30, 300, 3000)]
