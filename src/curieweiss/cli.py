@@ -327,11 +327,14 @@ def cmd_minima(cfg: dict) -> tuple[str, int]:
             for mini in found
         ]
     }
+    n_global = sum(1 for mini in found if mini.classification == "global")
     residuals = {
         "gradient_tolerance": GRAD_TOL,
         "n_found": len(found),
-        "n_global": sum(1 for mini in found if mini.classification == "global"),
+        "n_global": n_global,
     }
+    if not n_global:   # every point kept is a saddle: no minimum to report
+        return _json_text(cfg, results, residuals, "failed"), EXIT_NUMERICAL
     return _json_text(cfg, results, residuals, "ok"), EXIT_OK
 
 
@@ -401,11 +404,18 @@ def cmd_oracle(cfg: dict) -> tuple[str, int]:
         best = min(
             (m for m in found if m.classification == "global"),
             key=lambda m: tuple(m.m_star.values),
+            default=None,
         )
-        reference = {
-            "free_energy": best.f_value,
-            "moments": best.m_star.values,
-        }
+        if best is None:
+            residuals["reference_error"] = (
+                "minimize found no global minimum; every stationary point it "
+                f"kept is a saddle (n_found = {len(found)})"
+            )
+        else:
+            reference = {
+                "free_energy": best.f_value,
+                "moments": best.m_star.values,
+            }
     except (CurieWeissError, ValueError) as exc:
         residuals["reference_error"] = str(exc)
 

@@ -23,14 +23,17 @@ from .thermo import ModelParams, _Kernel
 
 MAX_COMPOSITIONS = 2_000_000
 MAX_RAW_CONFIGURATIONS = 1_000_000
-_CHUNK = 1 << 18
+_CHUNK = 1 << 14   # rows per block of the table loop: cache-sized temporaries
 
 
 @dataclass(frozen=True, eq=False)
 class FiniteNEnsemble:
     """Composition table for N spins with per-row degeneracy and moments.
 
-    ``energy`` and ``log_weight`` are attached when model parameters were
+    ``counts`` holds one composition per row in the narrowest signed
+    integer type whose max is at least N (int8, int16 or int32); cast it
+    before arithmetic that can leave [-N, N].  ``energy`` and
+    ``log_weight`` are attached when model parameters were
     supplied at enumeration time; ``log_weight`` holds
     ln G - N * E / T, ready for log-sum-exp.
     """
@@ -52,17 +55,27 @@ class FiniteNEnsemble:
 def _compositions(n_spins: int, d: int) -> np.ndarray:
     """Every composition of n_spins into d parts, the last part slowest.
 
-    Each row with r spins left to place spawns r + 1 rows whose next part
-    runs 0..r; placing the parts last to first keeps colexicographic order.
+    Parts are placed last to first, which keeps colexicographic order.  A
+    node with r spins left spawns r + 1 children whose part k runs 0..r;
+    a child with r' spins left heads C(r' + k - 1, k - 1) rows, so column
+    k is each child's part repeated that often, written in one pass.
+    Counts come in the narrowest signed type whose max is at least n_spins:
+    signed, so that differences of counts cannot wrap.
     """
-    counts, rest = np.empty((1, 0), dtype=np.int64), np.array([n_spins])
-    for _ in range(d - 1):
+    dtype = next(t for t in (np.int8, np.int16, np.int32) if n_spins <= np.iinfo(t).max)
+    out = np.empty((math.comb(n_spins + d - 1, d - 1), d), dtype=dtype)
+    below = [np.ones(n_spins + 1, dtype=np.int64)]     # below[i][r] = C(r + i, i)
+    for _ in range(d - 2):
+        below.append(np.cumsum(below[-1]))
+    rest = np.array([n_spins])
+    for k in range(d - 1, 0, -1):
         width = rest + 1
-        parent = np.repeat(np.arange(rest.size), width)
-        part = np.arange(parent.size) - np.repeat(np.cumsum(width) - width, width)
-        counts = np.column_stack((part, counts[parent]))
-        rest = rest[parent] - part
-    return np.column_stack((rest, counts))
+        part = np.arange(width.sum()) - np.repeat(np.cumsum(width) - width, width)
+        rest = np.repeat(rest, width) - part
+        # at k = 1 every child heads exactly one row
+        out[:, k] = part if k == 1 else np.repeat(part, below[k - 1][rest])
+    out[:, 0] = rest
+    return out
 
 
 def enumerate_ensemble(
@@ -96,8 +109,10 @@ def enumerate_ensemble(
     ln_fact = gammaln(np.arange(n_spins + 1) + 1.0)
     for a in range(0, m_total, _CHUNK):
         b = min(a + _CHUNK, m_total)
-        log_degeneracy[a:b] = ln_fact[n_spins] - ln_fact[counts[a:b]].sum(axis=1)
-        x = counts[a:b] / n_spins
+        c = counts[a:b]
+        # take, not ln_fact[c]: fancy indexing by a narrow integer type is slower
+        log_degeneracy[a:b] = ln_fact[n_spins] - ln_fact.take(c).sum(axis=1)
+        x = c / n_spins
         moments[a:b] = weights_to_moments_array(l, x)
         if params is not None:
             energy[a:b] = kernel.energy(x)

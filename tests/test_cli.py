@@ -185,6 +185,24 @@ def test_minima_seed_changes_nothing_material():
     np.testing.assert_allclose(fa, fb, atol=1e-9)
 
 
+def test_no_global_minimum_is_a_failure():
+    # at this low temperature the descent keeps only the paramagnet, a saddle
+    case = ["--l", "2", "--temp", "2.4725542459624005e-4", "--j2", "0.4673648323465873",
+            "--j4", "-0.42154287970544124", "--j8", "-0.6395052747825778"]
+    rc, out, _ = run(["minima", *case])
+    rep = json.loads(out)
+    assert rc == cli.EXIT_NUMERICAL and rep["status"] == "failed"
+    n_found = rep["residuals"]["n_found"]
+    assert rep["residuals"]["n_global"] == 0 and n_found >= 1
+    assert len(rep["results"]["minima"]) == n_found
+    assert {r["classification"] for r in rep["results"]["minima"]} == {"saddle-rejected"}
+
+    rep = run_json(["oracle", *case, "--n-list", "3,5"])
+    assert rep["results"]["reference"] is None
+    error = rep["residuals"]["reference_error"]
+    assert "no global minimum" in error and f"(n_found = {n_found})" in error
+
+
 # --- 4. symcheck determinism (byte level) ---
 
 

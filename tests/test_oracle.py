@@ -2,6 +2,7 @@
 
 import itertools
 import math
+import tracemalloc
 from fractions import Fraction
 
 import numpy as np
@@ -24,6 +25,9 @@ from curieweiss import (
     stirling_entropy_error,
     thermal_moments,
 )
+from curieweiss.oracle import _CHUNK, _compositions
+from curieweiss.order_params import _charts
+from curieweiss.thermo import _Kernel
 
 L1 = SpinQuantum(2)
 
@@ -91,6 +95,104 @@ def test_rows_in_colexicographic_order(twice_l, n):
     # bit for bit; at 2l = 9 numpy's row sum over d >= 8 columns unrolls
     ln_g = gammaln(n + 1) - gammaln(ens.counts + 1.0).sum(axis=1)
     assert np.array_equal(ens.log_degeneracy, ln_g)
+
+
+@pytest.mark.parametrize(
+    "n,dtype", [(127, np.int8), (128, np.int16), (32767, np.int16), (32768, np.int32)]
+)
+def test_compositions_at_count_type_boundaries(n, dtype):
+    # the narrowest signed type that holds N: 128 must not wrap to -128, and
+    # differences of counts must not wrap either
+    counts = _compositions(n, 2)
+    assert counts.dtype == dtype
+    np.testing.assert_array_equal(counts, np.array(list(_colex_compositions(n, 2))))
+    assert (counts.astype(np.int64).sum(axis=1) == n).all()
+    assert counts.min() >= 0
+
+
+@pytest.mark.parametrize("n,d", [(128, 3), (6, 8), (5, 13), (1, 21)])
+def test_compositions_row_for_row(n, d):
+    expected = np.array(list(_colex_compositions(n, d)))
+    np.testing.assert_array_equal(_compositions(n, d), expected)
+
+
+def _table_by_rows(ens):
+    """The table's float arrays by the row-wise formulas on int64 counts,
+    in one unchunked pass."""
+    n, params = ens.n_spins, ens.params
+    counts = ens.counts.astype(np.int64)
+    kernel = _Kernel(params)
+    x = counts / n
+    pq = x @ kernel.table
+    energy = kernel.phi((pq * pq).sum(axis=-1)) + x @ kernel.b
+    log_g = gammaln(n + 1.0) - gammaln(counts + 1.0).sum(axis=1)
+    return {
+        "log_degeneracy": log_g,
+        "moments": x @ _charts(params.l.twice_l)[0][:, 1:],
+        "energy": energy,
+        "log_weight": log_g - n * energy / params.temperature,
+    }
+
+
+def _coupled_params(twice_l):
+    l = SpinQuantum(twice_l)
+    sector = Fraction(2 * (twice_l // 3) - twice_l, 2)
+    kinds = [
+        ModelParams(l, temperature=0.3, j2=0.4, j4=-0.7),
+        ModelParams(l, temperature=0.21, j2=-0.3, j4=0.9, j6=-0.6, j8=0.8),
+        ModelParams(l, temperature=0.37, j2=0.5, j4=0.3, j6=0.2, j8=-0.9,
+                    g=0.13, sector=sector),
+    ]
+    if twice_l == 2:
+        kinds.append(ModelParams(l, temperature=0.3, j4=1.0, h0=0.17))
+        kinds.append(ModelParams(l, temperature=0.3, j2=0.2, j8=0.5, h0=-0.2,
+                                 g=0.1, sector=Fraction(1)))
+    return kinds
+
+
+@pytest.mark.parametrize("twice_l", range(1, 13))
+def test_tables_keep_their_bits(twice_l):
+    # every array of a one-chunk table, bit for bit, against the formulas
+    d = twice_l + 1
+    n_one = max(n for n in range(1, 200) if math.comb(n + d - 1, d - 1) <= _CHUNK)
+    for params in _coupled_params(twice_l):
+        for n in (1, 5, n_one):
+            ens = enumerate_ensemble(params.l, n, params)
+            for name, want in _table_by_rows(ens).items():
+                got = getattr(ens, name)
+                assert got.shape == want.shape
+                assert np.array_equal(got.view(np.int64), want.view(np.int64)), (n, name)
+
+
+@pytest.mark.parametrize("twice_l,n", [(1, 40_000), (2, 300), (7, 13)])
+def test_tables_over_many_chunks(twice_l, n):
+    # log_degeneracy keeps its bits across chunks (at 2l = 7 numpy's row sum
+    # of the d = 8 log-factorials is pairwise: summing them column by column
+    # changes some); a BLAS product's last bit can depend on where its
+    # threads split the rows, so the other arrays are held to roundoff
+    params = _coupled_params(twice_l)[-1]
+    ens = enumerate_ensemble(params.l, n, params)
+    assert ens.size > _CHUNK
+    want = _table_by_rows(ens)
+    assert np.array_equal(ens.log_degeneracy.view(np.int64),
+                          want.pop("log_degeneracy").view(np.int64))
+    for name, values in want.items():
+        np.testing.assert_allclose(getattr(ens, name), values, rtol=1e-12, atol=1e-12)
+
+
+def test_enumeration_peak_memory_near_table_size():
+    l = SpinQuantum(6)
+    params = ModelParams(l, temperature=0.3, j4=1.0)
+    tracemalloc.start()
+    tracemalloc.reset_peak()
+    try:
+        ens = enumerate_ensemble(l, 20, params)
+        peak = tracemalloc.get_traced_memory()[1]
+    finally:
+        tracemalloc.stop()
+    table = sum(a.nbytes for a in (ens.counts, ens.log_degeneracy, ens.moments,
+                                   ens.energy, ens.log_weight))
+    assert peak <= 1.3 * table, peak / table
 
 
 def test_composition_counts():

@@ -26,7 +26,7 @@ from curieweiss import (
     weights_to_moments_array,
 )
 from curieweiss.order_params import _charts
-from curieweiss.thermo import _Kernel
+from curieweiss.thermo import _Kernel, _mean_phase, _phases
 
 ALL_FIVE = (1, 2, 3, 4, 5)
 
@@ -373,3 +373,15 @@ def test_batch_matches_scalar():
     bad[0] = 100.0
     fvals, feas = free_energy_batch(pr, bad)
     assert not feas[0] and feas[1:].all()
+
+
+@pytest.mark.parametrize("twice_l", [1, 2, 7, 12])
+def test_mean_phase_alignment_bits(twice_l):
+    # A = P*P + Q*Q written out is the two-term row sum, bit for bit
+    l = SpinQuantum(twice_l)
+    x = random_weights(l, np.random.default_rng(twice_l), n=200)
+    table = _phases(twice_l)
+    for batch in (x, x[:, None, :]):
+        pq, a = _mean_phase(table, batch)
+        assert a.shape == batch.shape[:-1]
+        assert np.array_equal(a.view(np.int64), (pq * pq).sum(axis=-1).view(np.int64))
