@@ -30,6 +30,7 @@ from .errors import (
 from .oracle import (
     MAX_COMPOSITIONS,
     FiniteNEnsemble,
+    canonical_sums,
     enumerate_ensemble,
     exact_free_energy,
     nearest_composition,
@@ -101,6 +102,7 @@ __all__ = [
     "WeightVector",
     "alignment",
     "branch_thresholds",
+    "canonical_sums",
     "coupling",
     "coupling_two_outcome",
     "critical_coupling",

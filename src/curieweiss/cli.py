@@ -41,10 +41,8 @@ from .errors import (
 )
 from .oracle import (
     MAX_RAW_CONFIGURATIONS,
-    enumerate_ensemble,
-    exact_free_energy,
+    canonical_sums,
     raw_config_free_energy,
-    thermal_moments,
 )
 from .order_params import paramagnet_moments
 from .properties import TOLERANCES, run_symmetry_suite
@@ -423,7 +421,7 @@ def cmd_oracle(cfg: dict) -> tuple[str, int]:
     failures = 0
     for n in sorted(n_list):
         try:
-            ens = enumerate_ensemble(params.l, n, params)
+            f_n, moments = canonical_sums(params, n)
         except EnsembleTooLarge as exc:
             entries.append(
                 {
@@ -434,12 +432,7 @@ def cmd_oracle(cfg: dict) -> tuple[str, int]:
             )
             failures += 1
             continue
-        f_n = exact_free_energy(ens)
-        entry = {
-            "n": n,
-            "free_energy": f_n,
-            "moments": thermal_moments(ens),
-        }
+        entry = {"n": n, "free_energy": f_n, "moments": moments}
         if reference is not None:
             entry["gap_to_limit"] = f_n - reference["free_energy"]
         if params.l.n_states**n <= MAX_RAW_CONFIGURATIONS:
@@ -461,6 +454,8 @@ def cmd_oracle(cfg: dict) -> tuple[str, int]:
                 g * n / np.log(n) for n, g in gaps
             )
     status, code = _status(failures, len(n_list))
+    if reference is None and status == "ok":
+        status = "partial"   # no large-N limit to compare with
     return _json_text(cfg, results, residuals, status), code
 
 

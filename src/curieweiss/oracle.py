@@ -14,7 +14,7 @@ import operator
 from dataclasses import dataclass
 
 import numpy as np
-from scipy.special import gammaln, logsumexp
+from scipy.special import gammaln
 
 from .errors import EnsembleTooLarge
 from .order_params import FEASIBILITY_TOL, WeightVector, weights_to_moments_array
@@ -23,7 +23,7 @@ from .thermo import ModelParams, _Kernel
 
 MAX_COMPOSITIONS = 2_000_000
 MAX_RAW_CONFIGURATIONS = 1_000_000
-_CHUNK = 1 << 14   # rows per block of the table loop: cache-sized temporaries
+_CHUNK = 1 << 14   # rows per block of the row and sum loops: cache-sized temporaries
 
 
 @dataclass(frozen=True, eq=False)
@@ -60,22 +60,100 @@ def _compositions(n_spins: int, d: int) -> np.ndarray:
     a child with r' spins left heads C(r' + k - 1, k - 1) rows, so column
     k is each child's part repeated that often, written in one pass.
     Counts come in the narrowest signed type whose max is at least n_spins:
-    signed, so that differences of counts cannot wrap.
+    signed, so that differences of counts cannot wrap.  The node arrays
+    are int32 and updated in place: no value exceeds the row count, which
+    the caller keeps within int32.
     """
     dtype = next(t for t in (np.int8, np.int16, np.int32) if n_spins <= np.iinfo(t).max)
     out = np.empty((math.comb(n_spins + d - 1, d - 1), d), dtype=dtype)
-    below = [np.ones(n_spins + 1, dtype=np.int64)]     # below[i][r] = C(r + i, i)
+    below = [np.ones(n_spins + 1, dtype=np.int32)]     # below[i][r] = C(r + i, i)
     for _ in range(d - 2):
-        below.append(np.cumsum(below[-1]))
-    rest = np.array([n_spins])
+        below.append(np.cumsum(below[-1], dtype=np.int32))
+    rest = np.array([n_spins], dtype=np.int32)
     for k in range(d - 1, 0, -1):
         width = rest + 1
-        part = np.arange(width.sum()) - np.repeat(np.cumsum(width) - width, width)
-        rest = np.repeat(rest, width) - part
+        part = np.arange(width.sum(), dtype=np.int32)
+        part -= np.repeat(np.cumsum(width, dtype=np.int32) - width, width)
+        rest = np.repeat(rest, width)
+        rest -= part
         # at k = 1 every child heads exactly one row
         out[:, k] = part if k == 1 else np.repeat(part, below[k - 1][rest])
     out[:, 0] = rest
     return out
+
+
+def _composition_counts(l: SpinQuantum, n_spins: int,
+                        params: ModelParams | None) -> np.ndarray:
+    """The composition table's counts, after the argument and size checks."""
+    if n_spins < 1:
+        raise ValueError("n_spins must be positive")
+    if params is not None and params.l != l:
+        raise ValueError("params.l does not match the ensemble l")
+    d = l.n_states
+    m_total = math.comb(n_spins + d - 1, d - 1)
+    if m_total > MAX_COMPOSITIONS:
+        raise EnsembleTooLarge(
+            f"{m_total} compositions for n_spins={n_spins}, twice_l={l.twice_l} "
+            f"exceeds the cap of {MAX_COMPOSITIONS}"
+        )
+    return _compositions(n_spins, d)
+
+
+def _blocks(n_rows: int):
+    """Slices of _CHUNK rows covering n_rows."""
+    return (slice(a, a + _CHUNK) for a in range(0, n_rows, _CHUNK))
+
+
+def _block_rows(c: np.ndarray, n_spins: int, ln_fact: np.ndarray,
+                kernel: _Kernel | None):
+    """Weights x, log-degeneracy ln G and, with a kernel, energy E and
+    log-weight ln G - N E / T of one block of count rows."""
+    # take, not ln_fact[c]: fancy indexing by a narrow integer type is slower
+    log_g = ln_fact[n_spins] - ln_fact.take(c).sum(axis=1)
+    x = c / n_spins
+    if kernel is None:
+        return x, log_g, None, None
+    energy = kernel.energy(x)
+    return x, log_g, energy, log_g - n_spins * energy / kernel.params.temperature
+
+
+def _ln_factorials(n_spins: int) -> np.ndarray:
+    """ln k! for k = 0..n_spins."""
+    return gammaln(np.arange(n_spins + 1) + 1.0)
+
+
+def _log_sum_exp(a: np.ndarray) -> np.float64:
+    """ln sum exp(a) by scipy.special.logsumexp's arithmetic, in place.
+
+    The maxima are left out of the shifted sum s and counted (m), and the
+    result is log1p(s / m) + ln m + max, as scipy forms it for finite
+    input, so it keeps scipy's bits without its copies of ``a``.  Leaves
+    exp(a - max) in ``a``.
+    """
+    top = a.max()
+    at_top = a == top
+    a[at_top] = -np.inf
+    np.subtract(a, top, out=a)
+    np.exp(a, out=a)
+    m = np.float64(np.count_nonzero(at_top))
+    s = a.sum() / m
+    a[at_top] = 1.0
+    return np.log1p(s) + np.log(m) + top
+
+
+def _free_energy(temperature: float, n_spins: int, log_weight: np.ndarray) -> float:
+    """-(T/N) ln sum exp(log_weight); leaves exp(log_weight - max) behind."""
+    return float(-(temperature / n_spins) * _log_sum_exp(log_weight))
+
+
+def _mean_moments(w: np.ndarray, moment_rows) -> np.ndarray:
+    """sum_i w_i m_i / sum_i w_i, reading the moment rows ``moment_rows(rows)``
+    one block at a time."""
+    total = None
+    for rows in _blocks(w.size):
+        part = w[rows] @ moment_rows(rows)
+        total = part if total is None else total + part
+    return total / w.sum()
 
 
 def enumerate_ensemble(
@@ -89,37 +167,20 @@ def enumerate_ensemble(
     MAX_COMPOSITIONS rows.  When ``params`` is given (same l required) the
     per-row energy and Boltzmann log-weight are attached.
     """
-    if n_spins < 1:
-        raise ValueError("n_spins must be positive")
-    if params is not None and params.l != l:
-        raise ValueError("params.l does not match the ensemble l")
-    d = l.n_states
-    m_total = math.comb(n_spins + d - 1, d - 1)
-    if m_total > MAX_COMPOSITIONS:
-        raise EnsembleTooLarge(
-            f"{m_total} compositions for n_spins={n_spins}, twice_l={l.twice_l} "
-            f"exceeds the cap of {MAX_COMPOSITIONS}"
-        )
-
-    counts = _compositions(n_spins, d)
+    counts = _composition_counts(l, n_spins, params)
+    m_total = counts.shape[0]
     log_degeneracy = np.empty(m_total)
     moments = np.empty((m_total, l.twice_l))
     energy = np.empty(m_total) if params is not None else None
+    log_weight = np.empty(m_total) if params is not None else None
     kernel = _Kernel(params) if params is not None else None
-    ln_fact = gammaln(np.arange(n_spins + 1) + 1.0)
-    for a in range(0, m_total, _CHUNK):
-        b = min(a + _CHUNK, m_total)
-        c = counts[a:b]
-        # take, not ln_fact[c]: fancy indexing by a narrow integer type is slower
-        log_degeneracy[a:b] = ln_fact[n_spins] - ln_fact.take(c).sum(axis=1)
-        x = c / n_spins
-        moments[a:b] = weights_to_moments_array(l, x)
-        if params is not None:
-            energy[a:b] = kernel.energy(x)
+    ln_fact = _ln_factorials(n_spins)
+    for rows in _blocks(m_total):
+        x, log_degeneracy[rows], e, lw = _block_rows(counts[rows], n_spins, ln_fact, kernel)
+        moments[rows] = weights_to_moments_array(l, x)
+        if kernel is not None:
+            energy[rows], log_weight[rows] = e, lw
 
-    log_weight = None
-    if params is not None:
-        log_weight = log_degeneracy - n_spins * energy / params.temperature
     for arr in (counts, log_degeneracy, moments, energy, log_weight):
         if arr is not None:
             arr.setflags(write=False)
@@ -135,21 +196,44 @@ def enumerate_ensemble(
     )
 
 
+def canonical_sums(params: ModelParams, n_spins: int) -> tuple[float, np.ndarray]:
+    """Exact F_N = -(T/N) ln Z_N and <m> for N spins, without the table.
+
+    The same sums as exact_free_energy and thermal_moments over
+    enumerate_ensemble(params.l, n_spins, params), holding only the counts
+    and one float per row: the log-weights, then exp(log-weight - max).
+    F_N has the table route's bits; <m> agrees to roundoff (bit for bit on
+    tables of one block).  Raises EnsembleTooLarge above MAX_COMPOSITIONS
+    rows, before allocating.
+    """
+    l = params.l
+    counts = _composition_counts(l, n_spins, params)
+    kernel = _Kernel(params)
+    ln_fact = _ln_factorials(n_spins)
+    w = np.empty(counts.shape[0])
+    for rows in _blocks(w.size):
+        w[rows] = _block_rows(counts[rows], n_spins, ln_fact, kernel)[3]
+    f_n = _free_energy(params.temperature, n_spins, w)
+    moments = _mean_moments(
+        w, lambda rows: weights_to_moments_array(l, counts[rows] / n_spins))
+    return f_n, moments
+
+
 def exact_free_energy(ensemble: FiniteNEnsemble) -> float:
     """Exact intensive free energy -(T/N) ln Z from an enumerated table."""
     if ensemble.params is None or ensemble.log_weight is None:
         raise ValueError("ensemble was enumerated without model parameters")
-    t = ensemble.params.temperature
-    return float(-(t / ensemble.n_spins) * logsumexp(ensemble.log_weight))
+    return _free_energy(ensemble.params.temperature, ensemble.n_spins,
+                        ensemble.log_weight.copy())
 
 
 def thermal_moments(ensemble: FiniteNEnsemble) -> np.ndarray:
     """Canonical expectation of the moment vector at finite N."""
     if ensemble.log_weight is None:
         raise ValueError("ensemble was enumerated without model parameters")
-    lw = ensemble.log_weight - ensemble.log_weight.max()
-    w = np.exp(lw)
-    return (w @ ensemble.moments) / w.sum()
+    w = ensemble.log_weight.copy()
+    _log_sum_exp(w)
+    return _mean_moments(w, lambda rows: ensemble.moments[rows])
 
 
 def raw_config_free_energy(params: ModelParams, n_spins: int) -> float:
@@ -171,7 +255,7 @@ def raw_config_free_energy(params: ModelParams, n_spins: int) -> float:
     ).astype(float) / n_spins
     e = _Kernel(params).energy(x)
     t = params.temperature
-    return float(-(t / n_spins) * logsumexp(-n_spins * e / t))
+    return _free_energy(t, n_spins, -n_spins * e / t)
 
 
 def nearest_composition(n_spins: int, weights: np.ndarray) -> np.ndarray:

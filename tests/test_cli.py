@@ -197,10 +197,18 @@ def test_no_global_minimum_is_a_failure():
     assert len(rep["results"]["minima"]) == n_found
     assert {r["classification"] for r in rep["results"]["minima"]} == {"saddle-rejected"}
 
+    # the missing large-N reference is one failed part of an oracle report
     rep = run_json(["oracle", *case, "--n-list", "3,5"])
+    assert rep["status"] == "partial"
     assert rep["results"]["reference"] is None
+    assert all("gap_to_limit" not in r for r in rep["results"]["by_n"])
     error = rep["residuals"]["reference_error"]
     assert "no global minimum" in error and f"(n_found = {n_found})" in error
+    # ... and the report fails only when every N failed as well
+    rc, out, _ = run(["oracle", *case, "--n-list", "3000000"])
+    rep = json.loads(out)
+    assert rc == cli.EXIT_NUMERICAL and rep["status"] == "failed"
+    assert rep["results"]["reference"] is None
 
 
 # --- 4. symcheck determinism (byte level) ---

@@ -15,6 +15,7 @@ from curieweiss import (
     ModelParams,
     MomentVector,
     SpinQuantum,
+    canonical_sums,
     enumerate_ensemble,
     exact_free_energy,
     free_energy,
@@ -195,6 +196,38 @@ def test_enumeration_peak_memory_near_table_size():
     assert peak <= 1.3 * table, peak / table
 
 
+def _traced_peak(fn):
+    tracemalloc.start()
+    tracemalloc.reset_peak()
+    try:
+        result = fn()
+        return result, tracemalloc.get_traced_memory()[1]
+    finally:
+        tracemalloc.stop()
+
+
+def test_composition_build_peak_memory():
+    # int32 node arrays: the build holds the int8 table plus about two
+    # int32 columns (it held four int64 ones, 4.3x the table)
+    counts, peak = _traced_peak(lambda: _compositions(20, 7))
+    assert counts.dtype == np.int8
+    assert peak <= 3.0 * counts.nbytes, peak / counts.nbytes
+
+
+def test_canonical_sums_peak_memory():
+    # the streaming sums hold the counts and one float per row, plus
+    # block-sized temporaries, far below the full table
+    l = SpinQuantum(6)
+    params = ModelParams(l, temperature=0.3, j4=1.0)
+    _, peak = _traced_peak(lambda: canonical_sums(params, 20))
+    ens = enumerate_ensemble(l, 20, params)
+    stream = ens.counts.nbytes + 8 * ens.size
+    table = sum(a.nbytes for a in (ens.counts, ens.log_degeneracy, ens.moments,
+                                   ens.energy, ens.log_weight))
+    assert peak <= 2.0 * stream, peak / stream
+    assert peak <= table / 3, peak / table
+
+
 def test_composition_counts():
     assert enumerate_ensemble(SpinQuantum(4), 3).counts.shape[0] == 35
     assert enumerate_ensemble(SpinQuantum(1), 10).counts.shape[0] == 11
@@ -285,6 +318,83 @@ def test_finite_size_approaches_the_minimizer():
     # log N / N envelope with a modest constant
     for n, gap in zip((50, 100, 200, 400), gaps):
         assert gap < 1.0 * math.log(n) / n
+
+
+# (2l, N, T) of bare-magnet tables (j4 = 1): one block or many, with
+# whole orbits tied at the maximum log-weight or a single maximum
+_REDUCTION_CASES = {
+    "one-block, 2 tied": (1, 41, 0.3, 2),
+    "one-block, 4 tied": (3, 40, 0.2, 4),
+    "one-block, 1 max": (2, 50, 0.2, 1),
+    "blocks, 2 tied": (1, 40_000, 0.3, 2),
+    "blocks, 5 tied": (6, 16, 0.3, 5),
+    "blocks, 1 max": (2, 300, 0.2, 1),
+}
+
+
+@pytest.mark.parametrize("case", _REDUCTION_CASES)
+def test_reductions_keep_their_bits(case):
+    twice_l, n, t, n_max = _REDUCTION_CASES[case]
+    l = SpinQuantum(twice_l)
+    ens = enumerate_ensemble(l, n, ModelParams(l, temperature=t, j4=1.0))
+    assert (ens.size > _CHUNK) == case.startswith("blocks")
+    assert np.count_nonzero(ens.log_weight == ens.log_weight.max()) == n_max
+    want = float(-(t / n) * logsumexp(ens.log_weight))
+    assert exact_free_energy(ens) == want
+    w = np.exp(ens.log_weight - ens.log_weight.max())
+    got, old = thermal_moments(ens), (w @ ens.moments) / w.sum()
+    if ens.size <= _CHUNK:
+        assert np.array_equal(got, old)
+    else:   # summed block by block: roundoff
+        np.testing.assert_allclose(got, old, rtol=1e-12, atol=1e-12)
+    f_n, moments = canonical_sums(ens.params, n)
+    assert f_n == want
+    assert np.array_equal(moments, got)
+
+
+def test_free_energy_keeps_scipys_bits_on_small_tables():
+    # on small tables ln Z is not dominated by its maximum term, so its last
+    # bits show how the sum was formed: ln(sum exp(a - max)) + max differs
+    # from scipy's log1p form in about one case of eight here
+    rng = np.random.default_rng(5)
+    for _ in range(200):
+        twice_l, n = int(rng.integers(1, 5)), int(rng.integers(1, 8))
+        l = SpinQuantum(twice_l)
+        params = ModelParams(l, temperature=float(rng.uniform(0.05, 1.0)),
+                             j2=float(rng.uniform(-1, 1)), j4=float(rng.uniform(-1, 1)),
+                             h0=float(rng.uniform(-1, 1)) if twice_l == 2 else 0.0)
+        ens = enumerate_ensemble(l, n, params)
+        want = float(-(params.temperature / n) * logsumexp(ens.log_weight))
+        assert exact_free_energy(ens) == want, (params, n)
+        assert canonical_sums(params, n)[0] == want, (params, n)
+
+
+@pytest.mark.parametrize("twice_l", range(1, 13))
+def test_canonical_sums_match_the_table(twice_l):
+    d = twice_l + 1
+    n_one = max(n for n in range(1, 200) if math.comb(n + d - 1, d - 1) <= _CHUNK)
+    sizes = (1, 5, n_one, n_one + 1) if twice_l <= 6 else (1, 5, n_one)
+    for params in _coupled_params(twice_l):
+        for n in sizes:
+            ens = enumerate_ensemble(params.l, n, params)
+            f_n, moments = canonical_sums(params, n)
+            assert f_n == exact_free_energy(ens), (params, n)
+            np.testing.assert_allclose(moments, thermal_moments(ens),
+                                       rtol=1e-12, atol=1e-12)
+
+
+def test_canonical_sums_refuse_before_allocating():
+    params = ModelParams(SpinQuantum(1), temperature=0.3, j4=1.0)
+    assert math.comb(2_000_000 + 1, 1) > MAX_COMPOSITIONS
+
+    def refused():
+        with pytest.raises(EnsembleTooLarge):
+            canonical_sums(params, 2_000_000)
+
+    _, peak = _traced_peak(refused)
+    assert peak < 1 << 20, peak
+    with pytest.raises(ValueError, match="n_spins must be positive"):
+        canonical_sums(params, 0)
 
 
 # --- 3. thermal averages ---
