@@ -19,6 +19,7 @@ import dataclasses
 import functools
 import hashlib
 import json
+import operator
 import sys
 from fractions import Fraction
 
@@ -226,17 +227,40 @@ def _status(failures: int, total: int) -> tuple[str, int]:
     return ("partial" if failures else "ok"), EXIT_OK
 
 
-_BLOCK_ROWS = 1 << 14
+def _landscape_text(cfg: dict, header: str, notes: list[str], axes, ok,
+                    fields) -> str:
+    """A landscape as CSV rows or as the rows of a JSON report.
 
+    The points are the grid of ``axes`` (one or two 1-D arrays, the first
+    outermost).  A row holds the point's axis values, its feasibility flag
+    (boolean array ``ok``) and its ``fields``: float64 columns that are NaN
+    wherever the point is infeasible, as free_energy_batch returns them.
 
-def _table(cfg: dict, header: str, columns, notes: list[str]) -> str:
-    """Equal-length numpy columns as CSV rows (%.12g floats, %d integer flags)
-    or as the rows of a JSON report.  A CSV column's distinct values, keyed on
-    their bits (float equality merges -0.0 and 0.0, printed -0 and 0), are
-    formatted once; rows are joined from those strings a block at a time."""
+    CSV writes floats as %.12g and the flag as 0 or 1.  Each axis value is
+    formatted once.  So is each distinct value of a field, keyed on its bits
+    (float equality merges -0.0 and 0.0, printed -0 and 0), together with
+    the flag: "1,<F>" for the first field, ",<F>" for later ones; infeasible
+    cells read "0,nan" (",nan").  Only the cell codes, in the narrowest
+    integer type, are held per point.  The rows of one outer-axis value are
+    joined into one string.
+    """
     if cfg["format"] == "json":
+        columns = [a.ravel() for a in np.meshgrid(*axes, indexing="ij")]
+        columns += [ok.astype(int), *fields]
         rows = list(zip(*(c.tolist() for c in columns)))
         return _json_text(cfg, {"columns": header.split(","), "rows": rows}, {}, "ok")
+    axis_texts = [[f"{v:.12g}," for v in a.tolist()] for a in axes]
+    heads, tails = axis_texts if len(axes) == 2 else ([""], axis_texts[0])
+    texts, codes = [], []
+    for k, f in enumerate(fields):
+        keys, inverse = np.unique(f.view(np.int64), return_inverse=True)
+        lead = "," if k else "1,"
+        cells = [f"{lead}{v:.12g}" for v in keys.view(np.float64).tolist()]
+        cells.append(("," if k else "0,") + "nan")
+        texts.append(np.array(cells, object))
+        codes.append(inverse.astype(np.min_scalar_type(len(keys))))
+        codes[-1][~ok] = len(keys)
+    del keys, inverse, cells  # the last field's, alive to the end otherwise
     echo = _echo_config(cfg)
     lines = [
         f"# curieweiss {cfg['command']} v{__version__}",
@@ -245,18 +269,17 @@ def _table(cfg: dict, header: str, columns, notes: list[str]) -> str:
     ]
     lines += [f"# {note}" for note in notes]
     lines.append(header)
-    texts, codes = [], []
-    for c in columns:
-        keys, inverse = np.unique(c.view(f"i{c.itemsize}"), return_inverse=True)
-        fmt = "%d" if c.dtype.kind == "i" else "%.12g"
-        texts.append(np.array([fmt % v for v in keys.view(c.dtype)], object))
-        # narrowest index type: held for all rows, so it sets the peak memory
-        codes.append(inverse.astype(np.min_scalar_type(len(keys))))
-    del keys, inverse  # the last column's, alive to the end otherwise
-    for s in range(0, len(codes[0]), _BLOCK_ROWS):
-        block = (t[i[s:s + _BLOCK_ROWS]].tolist() for t, i in zip(texts, codes))
-        lines.append("\n".join(map(",".join, zip(*block))))
-    del texts, codes
+    width = len(tails)
+    # one outer-axis row: head tail_0 cell_0 "\n"head tail_1 cell_1 ...
+    parts = [None] * (3 * width - 1)
+    parts[0::3] = tails
+    for i, head in enumerate(heads):
+        row = slice(i * width, (i + 1) * width)
+        parts[1::3] = functools.reduce(functools.partial(map, operator.add),
+                                       (t[c[row]].tolist() for t, c in zip(texts, codes)))
+        parts[2::3] = ["\n" + head] * (width - 1)
+        lines.append(head + "".join(parts))
+    del texts, codes, parts
     lines.append("")
     return "\n".join(lines)
 
@@ -282,9 +305,9 @@ def cmd_landscape(cfg: dict) -> tuple[str, int]:
             f_cpl, _ = free_energy_batch(params, m)
         else:
             f_cpl = f_unc
-        return _table(cfg, "m2,feasible,F_uncoupled,F_coupled",
-                      (m2, ok.astype(int), f_unc, f_cpl),
-                      ["profile: m1 = 0 line"]), EXIT_OK
+        return _landscape_text(cfg, "m2,feasible,F_uncoupled,F_coupled",
+                               ["profile: m1 = 0 line"], (m2,), ok,
+                               (f_unc, f_cpl)), EXIT_OK
 
     k1, k2 = int(cfg["axis1"]), int(cfg["axis2"])
     if not (1 <= k1 <= params.l.twice_l and 1 <= k2 <= params.l.twice_l) or k1 == k2:
@@ -303,8 +326,8 @@ def cmd_landscape(cfg: dict) -> tuple[str, int]:
     m[:, k2 - 1] = g2.ravel()
     f, ok = free_energy_batch(params, m)
     notes = [f"axes: m{k1} (rows), m{k2} (columns); other moments at paramagnet"]
-    return _table(cfg, f"m{k1},m{k2},feasible,F",
-                  (m[:, k1 - 1], m[:, k2 - 1], ok.astype(int), f), notes), EXIT_OK
+    return _landscape_text(cfg, f"m{k1},m{k2},feasible,F", notes, spans, ok,
+                           (f,)), EXIT_OK
 
 
 def cmd_minima(cfg: dict) -> tuple[str, int]:

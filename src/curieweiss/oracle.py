@@ -19,11 +19,10 @@ from scipy.special import gammaln
 from .errors import EnsembleTooLarge
 from .order_params import FEASIBILITY_TOL, WeightVector, weights_to_moments_array
 from .spectrum import SpinQuantum
-from .thermo import ModelParams, _Kernel
+from .thermo import ModelParams, _blocks, _Kernel
 
 MAX_COMPOSITIONS = 2_000_000
 MAX_RAW_CONFIGURATIONS = 1_000_000
-_CHUNK = 1 << 14   # rows per block of the row and sum loops: cache-sized temporaries
 
 
 @dataclass(frozen=True, eq=False)
@@ -97,11 +96,6 @@ def _composition_counts(l: SpinQuantum, n_spins: int,
             f"exceeds the cap of {MAX_COMPOSITIONS}"
         )
     return _compositions(n_spins, d)
-
-
-def _blocks(n_rows: int):
-    """Slices of _CHUNK rows covering n_rows."""
-    return (slice(a, a + _CHUNK) for a in range(0, n_rows, _CHUNK))
 
 
 def _block_rows(c: np.ndarray, n_spins: int, ln_fact: np.ndarray,
@@ -240,6 +234,8 @@ def raw_config_free_energy(params: ModelParams, n_spins: int) -> float:
     """Free energy by brute force over all (2l+1)**n_spins configurations.
 
     Exists to validate the composition route; capped at MAX_RAW_CONFIGURATIONS.
+    Holds one int8 count row and one log-weight per configuration; the
+    energies are computed a block of rows at a time.
     """
     if n_spins < 1:
         raise ValueError("n_spins must be positive")
@@ -249,13 +245,19 @@ def raw_config_free_energy(params: ModelParams, n_spins: int) -> float:
         raise EnsembleTooLarge(
             f"{total} raw configurations exceeds the brute-force cap"
         )
-    cfg = np.indices((d,) * n_spins).reshape(n_spins, -1).T
-    x = np.stack(
-        [(cfg == j).sum(axis=1) for j in range(d)], axis=1
-    ).astype(float) / n_spins
-    e = _Kernel(params).energy(x)
+    # occupation counts of every configuration, in np.indices order: spin p
+    # sits at level v on runs of d**(N-1-p) configurations, d**(N-p) apart
+    counts = np.zeros((total, d), np.int8)
+    for p in range(n_spins):
+        runs = counts.reshape(d**p, d, d ** (n_spins - 1 - p), d)
+        for v in range(d):
+            runs[:, v, :, v] += 1
+    kernel = _Kernel(params)
     t = params.temperature
-    return _free_energy(t, n_spins, -n_spins * e / t)
+    log_weight = np.empty(total)
+    for rows in _blocks(total):
+        log_weight[rows] = -n_spins * kernel.energy(counts[rows] / n_spins) / t
+    return _free_energy(t, n_spins, log_weight)
 
 
 def nearest_composition(n_spins: int, weights: np.ndarray) -> np.ndarray:

@@ -6,6 +6,13 @@ map conjugates the weight shift, its order is 2l+1, the paramagnet is
 its fixed point, the moment chart inverts, and shifting the sector
 tracks shifting the state.  All deviations are exact zeros in real
 arithmetic, so the reported numbers measure accumulated roundoff.
+
+The sector-shift check needs F in all 2l+1 sectors at the sample and at
+its cycled image.  Only the linear term b_s.x of F depends on the sector,
+so per point set the chart is inverted (the sample's inversion also
+serves the roundtrip check), and phi(A) and T*S are computed, once; each
+sector adds its own b_s.x.  The values are bit-identical to one
+free_energy_batch call per sector.
 """
 
 from __future__ import annotations
@@ -13,6 +20,7 @@ from __future__ import annotations
 import numpy as np
 
 from .order_params import (
+    FEASIBILITY_TOL,
     moments_to_weights_array,
     paramagnet_moments,
     permutation_map_m,
@@ -20,7 +28,7 @@ from .order_params import (
     weights_to_moments_array,
 )
 from .spectrum import SpinQuantum, spectrum
-from .thermo import ModelParams, free_energy_batch
+from .thermo import ModelParams, _entropy, _Kernel, _mean_phase
 
 TOLERANCES = {
     "conjugacy": 1e-9,
@@ -33,6 +41,23 @@ TOLERANCES = {
 # fixed interaction used for the sector-shift check: strong enough that
 # every term of F contributes, weak enough to stay well conditioned
 _SHIFT_PARAMS = {"temperature": 0.35, "j2": 0.3, "j4": 1.0, "g": 0.1}
+
+
+def _sector_free_energies(l: SpinQuantum, x: np.ndarray):
+    """F under _SHIFT_PARAMS at chart weights x, one array per sector of
+    spectrum(l); None when a point is infeasible.
+
+    F = (phi(A) + x.b_s) - T*S and only b_s depends on the sector, so
+    phi(A) and T*S are computed once, each by free_energy_batch's
+    operations in its order: F has that function's bits.
+    """
+    kernels = [_Kernel(ModelParams(l=l, sector=s, **_SHIFT_PARAMS)) for s in spectrum(l)]
+    if not x.min() >= -FEASIBILITY_TOL:
+        return None
+    x = np.clip(x, 0.0, None)
+    phi_a = kernels[0].phi(_mean_phase(kernels[0].table, x)[1])
+    ts = _SHIFT_PARAMS["temperature"] * _entropy(x)
+    return [(phi_a + x @ kernel.b) - ts for kernel in kernels]
 
 
 def run_symmetry_suite(
@@ -64,22 +89,16 @@ def run_symmetry_suite(
     pm = paramagnet_moments(l)
     paramagnet_fixed = float(np.max(np.abs(cyc.apply(pm).values - pm.values)))
 
-    roundtrip = float(np.max(np.abs(moments_to_weights_array(l, m) - x)))
+    x_chart = moments_to_weights_array(l, m)
+    roundtrip = float(np.max(np.abs(x_chart - x)))
 
-    sectors = spectrum(l)
-    shift = 0.0
-    for i, s in enumerate(sectors):
-        s_next = sectors[(i + 1) % d]
-        f_here, ok_here = free_energy_batch(
-            ModelParams(l=l, sector=s, **_SHIFT_PARAMS), m
-        )
-        f_there, ok_there = free_energy_batch(
-            ModelParams(l=l, sector=s_next, **_SHIFT_PARAMS), m_cycled
-        )
-        if not (ok_here.all() and ok_there.all()):
-            shift = float("inf")
-            break
-        shift = max(shift, float(np.max(np.abs(f_here - f_there))))
+    here = _sector_free_energies(l, x_chart)
+    there = _sector_free_energies(l, moments_to_weights_array(l, m_cycled))
+    shift = float("inf")
+    if here is not None and there is not None:
+        shift = 0.0
+        for f_here, f_there in zip(here, there[1:] + there[:1]):
+            shift = max(shift, float(np.max(np.abs(f_here - f_there))))
 
     return {
         "conjugacy": conjugacy,

@@ -49,6 +49,10 @@ from .spectrum import SpinQuantum, spectrum, spectrum_array
 # 0*ln(0) = 0 limit and they put the point on the simplex boundary.
 _EMPTY = 1e-300
 
+# Rows per block of the batch loops here and in the oracle: cache-sized
+# temporaries.
+_CHUNK = 1 << 14
+
 
 @dataclass(frozen=True)
 class ModelParams:
@@ -118,6 +122,11 @@ def _phases(twice_l: int) -> np.ndarray:
     table = np.column_stack([np.cos(ang), np.sin(ang)])
     table.setflags(write=False)
     return table
+
+
+def _blocks(n_rows: int):
+    """Slices of _CHUNK rows covering n_rows."""
+    return (slice(a, a + _CHUNK) for a in range(0, n_rows, _CHUNK))
 
 
 def _mean_phase(table: np.ndarray, x: np.ndarray):
@@ -304,10 +313,19 @@ def free_energy_weights(params: ModelParams, weights) -> ThermoEval:
 def free_energy_batch(params: ModelParams, m: np.ndarray):
     """Grid fast path: F for many moment vectors at once, no derivatives.
 
-    m has shape (npts, 2l).  Returns (f, feasible); f is NaN where the
-    point is infeasible.
+    m has shape (npts, 2l) (or more leading axes).  Returns (f, feasible);
+    f is NaN where the point is infeasible.  The points are evaluated a block at a time, so
+    the weight-sized temporaries stay small whatever npts is; each row's
+    arithmetic is the same as in one call over all points.
     """
-    x = moments_to_weights_array(params.l, np.asarray(m, dtype=float))
-    feasible = x.min(axis=-1) >= -FEASIBILITY_TOL
-    f = _Kernel(params).value(np.clip(x, 0.0, None))
-    return np.where(feasible, f, np.nan), feasible
+    m = np.asarray(m, dtype=float)
+    points = m.reshape(-1, m.shape[-1])
+    kernel = _Kernel(params)
+    f = np.empty(len(points))
+    feasible = np.empty(len(points), bool)
+    for rows in _blocks(len(points)):
+        x = moments_to_weights_array(params.l, points[rows])
+        feasible[rows] = x.min(axis=-1) >= -FEASIBILITY_TOL
+        f[rows] = kernel.value(np.clip(x, 0.0, None))
+    f[~feasible] = np.nan
+    return f.reshape(m.shape[:-1]), feasible.reshape(m.shape[:-1])

@@ -325,6 +325,13 @@ def test_landscape_bytes_pinned(args, digest):
         (["landscape", "--l", "4", "--resolution", "271", "--temp", "0.3",
           "--g", "0.1", "--sector", "-1"],
          "c952c95fce01ecf77cb9ce2299e43e69944834f0abef673842f31d883d0ef04b"),
+        # the two largest grids of the benchmark's grid workload
+        (["landscape", "--l", "2", "--resolution", "801", "--temp", "0.2",
+          "--j4", "1"],
+         "6c1870551419a71546f3b1d6cb37ba4b94b21424076c10af080bcf3121462689"),
+        (["landscape", "--l", "4", "--resolution", "601", "--temp", "0.2",
+          "--j4", "1"],
+         "8b51436ade56d5a1a0ecab10c2fc8ab99a89c13182fb89a80ecbdd9872c4d58d"),
     ],
 )
 def test_report_bytes_pinned(args, digest):
@@ -335,28 +342,66 @@ def test_report_bytes_pinned(args, digest):
     assert hashlib.sha256(out.encode("utf-8")).hexdigest() == digest
 
 
-def test_table_rows_match_per_row_formatting():
-    # each distinct value is formatted once; the rows must read as if each
-    # row were formatted on its own, and floats equal as numbers but not in
-    # bits (0.0 and -0.0) must keep their own text
-    rng = np.random.default_rng(7)
-    n = 2 * cli._BLOCK_ROWS + 123
+def _landscape_csv_body(header, axes, ok, fields):
+    cfg = cli._merge_config(cli._build_parser().parse_args(["landscape"]))
+    text = cli._landscape_text(cfg, header, ["note"], axes, ok, fields)
+    head, body = text.split("\n" + header + "\n")
+    assert head.startswith("# curieweiss landscape") and head.endswith("# note")
+    return body
+
+
+def _per_row_csv(columns):
+    """The CSV body with every row formatted on its own."""
+    line = ",".join("%d" if c.dtype.kind in "bi" else "%.12g" for c in columns)
+    return "".join(line % row + "\n" for row in zip(*(c.tolist() for c in columns)))
+
+
+def _axis(rng, n):
+    values = rng.standard_normal(n)
+    values[:2] = 0.0, -0.0
+    return values
+
+
+def _field(rng, ok):
+    """F drawn from a pool (so values repeat) and from a normal, NaN wherever
+    the point is infeasible, as free_energy_batch returns it.  The pool holds
+    floats equal as numbers but not in bits (0.0 and -0.0), which must keep
+    their own text, x and its neighbour, which differ beyond 12 digits, and
+    NaN, which a feasible point prints after its flag 1."""
     x = 0.1 + 0.2
     pool = np.array([0.0, -0.0, np.nan, 1e-300, -1e-300, x, np.nextafter(x, 1.0),
                      1.0 / 3.0, -2.5, np.inf, -np.inf, 1e16 + 2.0])
-    grid = rng.standard_normal((n, 3))
-    grid[:, 1] = pool[rng.integers(pool.size, size=n)]
-    columns = (pool[rng.integers(pool.size, size=n)], grid[:, 1],
-               rng.integers(2, size=n), grid[:, 0])
-    cfg = cli._merge_config(cli._build_parser().parse_args(["landscape"]))
-    text = cli._table(cfg, "a,b,feasible,F", columns, ["note"])
-    line = ",".join("{:d}" if c.dtype.kind == "i" else "{:.12g}" for c in columns)
-    rows = zip(*(c.tolist() for c in columns))
-    want = "".join(line.format(*row) + "\n" for row in rows)
-    head, body = text.split("\na,b,feasible,F\n")
-    assert head.startswith("# curieweiss landscape") and head.endswith("# note")
-    assert body == want
-    assert {"0", "-0", "nan", "1e-300"} <= set(body.replace("\n", ",").split(","))
+    f = np.where(rng.random(ok.size) < 0.7, pool[rng.integers(pool.size, size=ok.size)],
+                 rng.standard_normal(ok.size))
+    f[~ok] = np.nan
+    return f
+
+
+def test_table_rows_match_per_row_formatting():
+    # a grid of 37 rows of the outer axis (one joined block each) by 450
+    rng = np.random.default_rng(7)
+    rows, cols = _axis(rng, 37), _axis(rng, 450)
+    ok = rng.random(rows.size * cols.size) < 0.8
+    f = _field(rng, ok)
+    body = _landscape_csv_body("a,b,feasible,F", (rows, cols), ok, (f,))
+    assert body == _per_row_csv((np.repeat(rows, cols.size), np.tile(cols, rows.size),
+                                 ok, f))
+    cells = set(body.replace("\n", ",").split(","))
+    assert {"0", "-0", "nan", "1e-300", "inf", "-inf"} <= cells
+    assert ",0,nan\n" in body and ",1,nan\n" in body
+
+
+def test_profile_csv_matches_per_row_formatting():
+    # one axis and two fields: the profile's four columns
+    rng = np.random.default_rng(8)
+    m2 = _axis(rng, 3000)
+    ok = rng.random(m2.size) < 0.8
+    f_unc, f_cpl = _field(rng, ok), _field(rng, ok)
+    body = _landscape_csv_body("m2,feasible,F_uncoupled,F_coupled", (m2,), ok,
+                               (f_unc, f_cpl))
+    assert body == _per_row_csv((m2, ok, f_unc, f_cpl))
+    cells = set(body.replace("\n", ",").split(","))
+    assert {"0", "-0", "nan", "1e-300", "inf", "-inf"} <= cells
 
 
 def test_landscape_header_names_axes():

@@ -26,9 +26,9 @@ from curieweiss import (
     stirling_entropy_error,
     thermal_moments,
 )
-from curieweiss.oracle import _CHUNK, _compositions
+from curieweiss.oracle import _compositions
 from curieweiss.order_params import _charts
-from curieweiss.thermo import _Kernel
+from curieweiss.thermo import _CHUNK, _Kernel
 
 L1 = SpinQuantum(2)
 
@@ -226,6 +226,41 @@ def test_canonical_sums_peak_memory():
                                    ens.energy, ens.log_weight))
     assert peak <= 2.0 * stream, peak / stream
     assert peak <= table / 3, peak / table
+
+
+def _raw_free_energy_dense(params, n_spins):
+    """Every configuration materialised at once, as np.indices lays it out."""
+    d = params.l.n_states
+    cfg = np.indices((d,) * n_spins).reshape(n_spins, -1).T
+    x = np.stack([(cfg == j).sum(axis=1) for j in range(d)], axis=1) / n_spins
+    e = _Kernel(params).energy(x)
+    t = params.temperature
+    return float(-(t / n_spins) * logsumexp(-n_spins * e / t))
+
+
+@pytest.mark.parametrize("twice_l, n_spins, extra", [
+    (6, 6, {}),
+    (1, 16, {}),
+    (2, 10, {"h0": 0.1}),
+    (4, 7, {"g": 0.1, "sector": Fraction(1)}),
+    (3, 2, {"j6": 0.2}),
+])
+def test_raw_configuration_sum_keeps_its_bits(twice_l, n_spins, extra):
+    # counts built one spin at a time and energies by blocks: the same rows,
+    # in the same order, with the same sum as the dense build
+    params = ModelParams(SpinQuantum(twice_l), temperature=0.3, j2=0.2, j4=1.0,
+                         **extra)
+    assert params.l.n_states**n_spins > 2 * _CHUNK or n_spins == 2
+    assert raw_config_free_energy(params, n_spins) == \
+        _raw_free_energy_dense(params, n_spins)
+
+
+def test_raw_configuration_peak_memory():
+    # 823 543 configurations: int8 counts and one float each (12.4 MB) plus
+    # block temporaries; the dense build peaked at 138 MB
+    params = ModelParams(SpinQuantum(6), temperature=0.3, j4=1.0)
+    _, peak = _traced_peak(lambda: raw_config_free_energy(params, 7))
+    assert peak < 30e6, peak
 
 
 def test_composition_counts():
