@@ -177,6 +177,8 @@ def _plain(obj):
     if isinstance(obj, (list, tuple)):
         return [_plain(v) for v in obj]
     if isinstance(obj, np.ndarray):
+        if obj.dtype.kind == "f" and np.isfinite(obj).all():
+            return obj.tolist()  # Python floats already; nothing to collapse
         return [_plain(v) for v in obj.tolist()]
     if isinstance(obj, np.integer):
         return int(obj)
@@ -325,6 +327,7 @@ def cmd_landscape(cfg: dict) -> tuple[str, int]:
     m[:, k1 - 1] = g1.ravel()
     m[:, k2 - 1] = g2.ravel()
     f, ok = free_energy_batch(params, m)
+    del g1, g2, m  # 20 MB at 801², not needed by the text, which sets the peak
     notes = [f"axes: m{k1} (rows), m{k2} (columns); other moments at paramagnet"]
     return _landscape_text(cfg, f"m{k1},m{k2},feasible,F", notes, spans, ok,
                            (f,)), EXIT_OK
@@ -374,8 +377,10 @@ def cmd_critical(cfg: dict) -> tuple[str, int]:
             return exc
 
     if params.l.twice_l == 2:
-        points = [attempt(solve) for solve in
-                  (spinodal_temperature, critical_temperature, critical_coupling)]
+        t_ms = attempt(spinodal_temperature)  # T_c is found below it, or fails as it did
+        t_c = t_ms if isinstance(t_ms, Exception) else attempt(
+            lambda p: critical_temperature(p, spinodal=t_ms))
+        points = [t_ms, t_c, attempt(critical_coupling)]
     else:
         pair = attempt(branch_thresholds)
         t_ms, t_c = pair if isinstance(pair, tuple) else (pair, pair)

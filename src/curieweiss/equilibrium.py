@@ -69,9 +69,10 @@ class CriticalPoint:
 # free minimization over the simplex
 
 
-def _curvature(kernel: _Kernel, t: float, x: np.ndarray):
+def _curvature(kernel: _Kernel, t: float, x: np.ndarray, phase=None):
     """Sigma and K Sigma (S, 2, 2) and the stability number (S,), per row of
-    x, shape (S, 2l+1).
+    x, shape (S, 2l+1); phase is (p, A, phi'(A), phi''(A)) at x as
+    _phase_state returns it, or None to read it off x.
 
     H_E = C K C^T has rank 2, so on the simplex it acts through K Sigma,
     Sigma = sum x (c - p)(c - p)^T summed centred (C^T X C - p p^T cancels).
@@ -81,11 +82,10 @@ def _curvature(kernel: _Kernel, t: float, x: np.ndarray):
     other 2l - 2 directions, and T + tr(K Sigma) at 2l = 1, whose one
     direction is Q.  Orbit members share it; no row reads another row.
     """
-    pq = _mean_phase(kernel.table, x[:, None])[0]
-    k = kernel.curvature(x[:, None])[:, 0]
-    dev = kernel.table.T - pq.swapaxes(1, 2)
-    cov = (x[:, None, None] * dev[:, :, None] * dev[:, None]).sum(axis=-1)  # Sigma
-    m = (k[..., None] * cov[:, None]).sum(axis=2)
+    pq, _, d1, d2 = _row_phase(kernel, x) if phase is None else phase
+    dev = kernel.table.T - pq[:, :, None]
+    cov = (x[:, None] * dev) @ dev.swapaxes(1, 2)  # Sigma
+    m = kernel.curvature(pq, d1, d2) @ cov
     half_tr, half_gap = (m[:, 0, 0] + m[:, 1, 1]) / 2, (m[:, 0, 0] - m[:, 1, 1]) / 2
     if x.shape[-1] == 2:
         eig = t + 2.0 * half_tr
@@ -106,30 +106,51 @@ def _softmax(v: np.ndarray) -> np.ndarray:
     return z / z.sum(axis=-1, keepdims=True)
 
 
-def _phase_point(kernel: _Kernel, lam: np.ndarray):
+def _row_phase(kernel: _Kernel, x: np.ndarray):
+    """p (S, 2), A, phi'(A) and phi''(A) (S,) per row of x; stacked per row."""
+    pq, a = (v[:, 0] for v in _mean_phase(kernel.table, x[:, None]))
+    return (pq, a, *kernel.dphi(a))
+
+
+def _phase_state(kernel: _Kernel, lam: np.ndarray):
     """The weights x = softmax((C lam - b)/T), F there, the gap g = lam +
-    2 phi'(A) p and the tangent gradient max_sigma |(c_sigma - p).g|, per row
-    of lam, shape (S, 2).
+    2 phi'(A) p, the tangent gradient max_sigma |(c_sigma - p).g| and the
+    phase (p, A, phi'(A), phi''(A)) that _curvature reads, per row of lam.
 
     Every stationary point of F on the simplex is such an x with g = 0.  The
     tangent gradient is T times the mean-field residual h/T + ln x less its
     x-weighted mean, read from g, so it stays exact where occupations
     underflow.  F's gradient in lam is Sigma g / T and g's Jacobian is
-    I + K Sigma / T (_curvature).  Products are elementwise per row.
+    I + K Sigma / T (_curvature).  Every product is stacked per row.
     """
     t = kernel.params.temperature
     c = kernel.table
     x = _softmax((c[:, 0] * lam[:, :1] + c[:, 1] * lam[:, 1:] - kernel.b) / t)
-    pq, a = (v[:, 0] for v in _mean_phase(c, x[:, None]))
-    gap = lam + 2.0 * kernel.dphi(a)[0][:, None] * pq
-    tangent = np.abs((c[:, 0] - pq[:, :1]) * gap[:, :1]
-                     + (c[:, 1] - pq[:, 1:]) * gap[:, 1:]).max(axis=-1)
-    return x, kernel.value(x[:, None])[:, 0], gap, tangent
+    phase = _row_phase(kernel, x)
+    pq, a, d1 = phase[:3]
+    gap = lam + 2.0 * d1[:, None] * pq
+    tangent = np.abs(gap[:, None] @ (c.T - pq[:, :, None])).max(axis=-1)[:, 0]
+    f = kernel.phi(a) + (x[:, None] @ kernel.b)[:, 0] - t * _entropy(x)  # kernel.value, bitwise
+    return (x, f, gap, tangent, *phase)
+
+
+def _phase_point(kernel: _Kernel, lam: np.ndarray):
+    """x, F, the gap and the tangent gradient of _phase_state."""
+    return _phase_state(kernel, lam)[:4]
+
+
+def _newton_step(t: float, m: np.ndarray, eig: np.ndarray, gap: np.ndarray) -> np.ndarray:
+    """d of ((1 + mu/T) I + m/T) d = -gap, mu = max(0, -2 eig), m = K Sigma and
+    eig as _curvature gives them, per row, by Cramer's rule."""
+    alpha = 1.0 + np.maximum(0.0, -2.0 * eig) / t
+    (a, b), (c, d) = (alpha[:, None, None] * np.eye(2) + m / t).transpose(1, 2, 0)
+    return np.column_stack([b * gap[:, 1] - d * gap[:, 0],
+                            c * gap[:, 0] - a * gap[:, 1]]) / (a * d - b * c)[:, None]
 
 
 def _settle(kernel: _Kernel, lam: np.ndarray):
     """Descend F from every row of lam, shape (S, 2), at once; return per row
-    the final x(lam), its tangent gradient (_phase_point) and the steps.
+    the final x(lam), its tangent gradient (_phase_state) and the steps.
 
     Each step is Newton's on the self-consistency map g(lam) = 0, shifted:
     ((1 + mu/T) I + K Sigma / T) dlam = -g with mu = max(0, -2 lambda),
@@ -140,44 +161,44 @@ def _settle(kernel: _Kernel, lam: np.ndarray):
     gradient is Sigma g / T.  Steps backtrack on F (Armijo), or, with F
     within its roundoff, are taken if they halve the tangent gradient.
 
-    Each step solves the stacked 2x2 systems of the rows still live, and each
-    backtracking round re-evaluates only the rows still halving.  A row
-    retires once its tangent gradient is below 1e-13 T or its step falls to
-    1e-14; every product is stacked per row, so its path is the one it would
-    take alone.
+    A row retires once its tangent gradient is below 1e-13 T or its step
+    falls to 1e-14.  Each round evaluates every row once (_phase_state, whose
+    phase the next step's curvature reads), with a zero step where a row is
+    retired or has taken its step: x(lam) depends on lam alone, so that row
+    keeps its state bit for bit, and stacked products keep each row's path
+    the one it would take alone.
     """
     t = kernel.params.temperature
     lam = np.array(lam, dtype=float)
-    x, f, gap, tangent = _phase_point(kernel, lam)
+    state = (lam, *_phase_state(kernel, lam))  # lam, x, F, gap, tangent, p, A, phi', phi''
     steps, stuck = np.zeros(len(lam), dtype=int), np.zeros(len(lam), dtype=bool)
     for _ in range(ITERATION_CAP):
-        live = np.flatnonzero((tangent >= 1e-13 * t) & ~stuck)
-        if not live.size:
+        todo = (state[4] >= 1e-13 * t) & ~stuck
+        if not todo.any():
             break
-        steps[live] += 1
-        cov, k_cov, eig = _curvature(kernel, t, x[live])
-        alpha = 1.0 + np.maximum(0.0, -2.0 * eig) / t
-        d = np.linalg.solve(alpha[:, None, None] * np.eye(2) + k_cov / t,
-                            -gap[live][..., None])[..., 0]
-        slope = (gap[live][:, :, None] * cov * d[:, None]).sum(axis=(1, 2)) / t
-        step = np.ones(live.size)
-        halving = np.arange(live.size)
-        while halving.size:
-            rows = live[halving]
-            lam_new = lam[rows] + step[halving, None] * d[halving]
-            x_new, f_new, gap_new, tangent_new = _phase_point(kernel, lam_new)
-            f_old = f[rows]
-            ok = (f_new < f_old + 1e-4 * step[halving] * slope[halving]) | (
-                (f_new <= f_old + 1e-14 * np.maximum(1.0, np.abs(f_old)))
-                & (tangent_new <= 0.5 * tangent[rows]))
-            done = rows[ok]
-            lam[done], x[done], f[done] = lam_new[ok], x_new[ok], f_new[ok]
-            gap[done], tangent[done] = gap_new[ok], tangent_new[ok]
-            halving = halving[~ok]
-            step[halving] *= 0.5
-            stuck[live[halving[step[halving] <= 1e-14]]] = True
-            halving = halving[step[halving] > 1e-14]
-    return x, tangent, steps
+        steps += todo
+        f, gap = state[2], state[3]
+        cov, m, eig = _curvature(kernel, t, state[1], state[5:])
+        d = np.where(todo[:, None], _newton_step(t, m, eig, gap), 0.0)
+        slope = (gap[:, :, None] * cov * d[:, None]).sum(axis=(1, 2)) / t
+        flat, half = f + 1e-14 * np.maximum(1.0, np.abs(f)), 0.5 * state[4]
+        step = 1.0
+        while True:
+            lam_new = state[0] + step * d
+            new = (lam_new, *_phase_state(kernel, lam_new))
+            ok = ~todo | (new[2] < f + 1e-4 * step * slope) | (
+                (new[2] <= flat) & (new[4] <= half))
+            if ok.all():
+                state = new
+                break
+            for v, v_new in zip(state, new):
+                np.copyto(v, v_new, where=ok[:, None] if v.ndim == 2 else ok)
+            todo, step = ~ok, 0.5 * step
+            d = np.where(todo[:, None], d, 0.0)
+            if step <= 1e-14:
+                stuck |= todo
+                break
+    return state[1], state[4], steps
 
 
 def minimize(params: ModelParams, seed: int = 0) -> list[Minimum]:
@@ -221,26 +242,33 @@ def minimize(params: ModelParams, seed: int = 0) -> list[Minimum]:
             best=(weights_to_moments_array(l, best), free_energy_weights(params, best)),
         )
 
+    order = converged[np.argsort(f[converged], kind="stable")]
+    # kept unless within _DEDUP_TOL (max norm of the weights) of a lower point kept
+    near = (np.abs(x[order, None] - x[order]).max(axis=-1) < _DEDUP_TOL).tolist()
     kept = []
-    for i in converged[np.argsort(f[converged], kind="stable")]:
-        if not kept or np.abs(x[i] - x[kept]).max(axis=-1).min() >= _DEDUP_TOL:
+    for i, row in enumerate(near):
+        if not any(row[j] for j in kept):
             kept.append(i)
+    kept = order[kept]
     eigs = _stability_eig(kernel, params.temperature, x[kept])
 
     true_minima = f[kept][eigs > _SADDLE_TOL]
     f_best = true_minima.min() if true_minima.size else f[kept[0]]
+    # orbits from one gather of the cyclic shifts (row k: np.roll by k) and one
+    # chart product, stacked per member
+    shifts = (np.arange(l.n_states) - np.arange(l.n_states)[:, None]) % l.n_states
+    orbits = weights_to_moments_array(l, x[kept][:, shifts][:, :, None])[:, :, 0]
     out = []
-    for i, eig_min in zip(kept, eigs):
+    for f_min, eig_min, members in zip(f[kept].tolist(), eigs.tolist(), orbits):
         if eig_min < _SADDLE_TOL:
             label = "saddle-rejected"
-        elif f[i] <= f_best + _DEGENERACY_TOL:
+        elif f_min <= f_best + _DEGENERACY_TOL:
             label = "global"
         else:
             label = "local"
-        orbit = [MomentVector(l, weights_to_moments_array(l, np.roll(x[i], k)))
-                 for k in range(l.n_states)]
-        out.append(Minimum(m_star=orbit[0], f_value=float(f[i]), classification=label,
-                           hessian_eigen_min=float(eig_min), orbit=orbit))
+        orbit = [MomentVector(l, m) for m in members]
+        out.append(Minimum(m_star=orbit[0], f_value=f_min, classification=label,
+                           hessian_eigen_min=eig_min, orbit=orbit))
     return out
 
 
@@ -253,6 +281,9 @@ def orbit(minimum: Minimum) -> list[MomentVector]:
 # the symmetric m1 = 0 profile of the three-state magnet
 
 _M2_TOP = 2.0 / 3.0
+# the grid on which _Profile.root brackets the curvature roots
+_ROOT_GRID = np.geomspace(1e-12, _M2_TOP * (1.0 - 1e-12), 3000)
+_ROOT_GRID.setflags(write=False)
 
 
 def _sign_change_roots(f, grid, *args):
@@ -321,7 +352,7 @@ class _Profile:
         top = _M2_TOP * (1.0 - 1e-12)
         if self.slope(floor, t) > 0.0:
             return 0.0
-        breaks = _sign_change_roots(self.curvature, np.geomspace(1e-12, top, 3000), t)
+        breaks = _sign_change_roots(self.curvature, _ROOT_GRID, t)
         edges = [floor] + [b for b in breaks if floor < b < top] + [top]
         for a, b in zip(edges, edges[1:]):
             fa, fb = self.slope(a, t), self.slope(b, t)
@@ -397,15 +428,16 @@ def spinodal_temperature(params: ModelParams) -> CriticalPoint:
         "curvature": abs(pr.curvature(m2_ms, t_ms))})
 
 
-def critical_temperature(params: ModelParams) -> CriticalPoint:
+def critical_temperature(params: ModelParams, spinodal=None) -> CriticalPoint:
     """Temperature where ferromagnet and paramagnet free energies cross.
 
     Bisects T below the spinodal for F(ferro branch) = -T ln 3, the
     paramagnet value.  Defined for twice_l = 2 with g = 0; nonzero
-    j2/j6/j8 flagged as extrapolation.
+    j2/j6/j8 flagged as extrapolation.  spinodal, when given, is
+    spinodal_temperature(params), passed in so that it is not found twice.
     """
     pr = _profile(params, "critical_temperature")
-    t_ms = spinodal_temperature(params).value
+    t_ms = (spinodal or spinodal_temperature(params)).value
 
     def ferro_gap(t):
         return pr.value(pr.root(t), t) + t * math.log(3.0)

@@ -187,10 +187,9 @@ class _Kernel:
         return self.field(x) \
             + self.params.temperature * (np.log(np.maximum(x, _EMPTY)) + 1.0)
 
-    def curvature(self, x):
-        """K = 2 phi'(A) I + 4 phi''(A) p p^T per point, shape (..., 2, 2)."""
-        pq, a = _mean_phase(self.table, x)
-        d1, d2 = self.dphi(a)
+    def curvature(self, pq, d1, d2):
+        """K = 2 phi'(A) I + 4 phi''(A) p p^T per point, shape (..., 2, 2), from
+        the mean phase p and phi'(A), phi''(A) there."""
         return 2.0 * d1[..., None, None] * np.eye(2) \
             + 4.0 * d2[..., None, None] * (pq[..., :, None] * pq[..., None, :])
 
@@ -198,7 +197,8 @@ class _Kernel:
 def _evaluate(params: ModelParams, x: np.ndarray) -> ThermoEval:
     """ThermoEval at weights x, derivatives pulled back to the moments."""
     kernel = _Kernel(params)
-    a = float(_mean_phase(kernel.table, x)[1])
+    pq, a_pt = _mean_phase(kernel.table, x)
+    a = float(a_pt)
     phi = kernel.phi(a)
     linear = float(x @ kernel.b)
     shift = params.h0 * float(x[kernel.mid])
@@ -211,7 +211,7 @@ def _evaluate(params: ModelParams, x: np.ndarray) -> ThermoEval:
         w = _charts(params.l.twice_l)[1][:, 1:]          # d x_sigma / d m_k
         grad = kernel.gradient(x) @ w
         j = kernel.table.T @ w                             # d p / d m_k
-        hess = j.T @ kernel.curvature(x) @ j + (w.T * (t / x)) @ w
+        hess = j.T @ kernel.curvature(pq, *kernel.dphi(a_pt)) @ j + (w.T * (t / x)) @ w
         hess = 0.5 * (hess + hess.T)
 
     return ThermoEval(

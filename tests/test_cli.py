@@ -156,6 +156,35 @@ def test_critical_calls_no_minimize(monkeypatch):
     assert calls == []
 
 
+def test_critical_finds_the_spinodal_once(monkeypatch):
+    # T_c is bracketed below T_ms, so one request finds T_ms once and passes
+    # it on; when there is none, T_c fails with the same message
+    calls, spinodal = [], equilibrium.spinodal_temperature
+
+    def counting(params):
+        calls.append(params.j4)
+        return spinodal(params)
+
+    monkeypatch.setattr(cli, "spinodal_temperature", counting)
+    monkeypatch.setattr(equilibrium, "spinodal_temperature", counting)
+    rep = run_json(["critical", "--l", "2", "--temp", "0.4"])
+    assert rep["status"] == "ok" and calls == [1.0]
+    rep = run_json(["critical", "--l", "2", "--temp", "0.4", "--j4", "-1"])
+    assert rep["status"] == "partial" and calls == [1.0, -1.0]
+    assert rep["residuals"]["T_c"] == rep["residuals"]["T_ms"] == {
+        "error": "no spinodal point on the m1 = 0 profile"}
+
+
+def test_plain_writes_non_finite_array_values_as_null():
+    # all-finite float arrays are returned through tolist; arrays holding
+    # NaN or inf still write those values as null, at any depth
+    assert cli._plain(np.array([[0.1, -0.0], [1e-300, 2.5]])) == [[0.1, -0.0],
+                                                                 [1e-300, 2.5]]
+    assert cli._plain({"m": np.array([[1.5, np.nan], [np.inf, -np.inf]])}) == {
+        "m": [[1.5, None], [None, None]]}
+    assert cli._plain(np.array([3, 4])) == [3, 4]
+
+
 # --- 3. minima ---
 
 
