@@ -98,12 +98,33 @@ def _composition_counts(l: SpinQuantum, n_spins: int,
     return _compositions(n_spins, d)
 
 
+def _column_sum(col, ks: range) -> np.ndarray:
+    """Sum of col(k) over ks in numpy's pairwise order (left to right below 8
+    terms, eight accumulators to 128, halves at a multiple of 8 above): the
+    bits of the stacked columns' .sum(axis=1).  col(k) must be fresh."""
+    n = len(ks)
+    if n > 128:
+        half = n // 2 - n // 2 % 8
+        return _column_sum(col, ks[:half]) + _column_sum(col, ks[half:])
+    if n < 8:
+        out, rest = col(ks[0]), ks[1:]
+    else:
+        acc = [col(k) for k in ks[:8]]
+        for i, k in enumerate(ks[8:n - n % 8]):
+            acc[i % 8] += col(k)
+        out = ((acc[0] + acc[1]) + (acc[2] + acc[3])) + ((acc[4] + acc[5]) + (acc[6] + acc[7]))
+        rest = ks[n - n % 8:]
+    for k in rest:
+        out += col(k)
+    return out
+
+
 def _block_rows(c: np.ndarray, n_spins: int, ln_fact: np.ndarray,
                 kernel: _Kernel | None):
     """Weights x, log-degeneracy ln G and, with a kernel, energy E and
     log-weight ln G - N E / T of one block of count rows."""
     # take, not ln_fact[c]: fancy indexing by a narrow integer type is slower
-    log_g = ln_fact[n_spins] - ln_fact.take(c).sum(axis=1)
+    log_g = ln_fact[n_spins] - _column_sum(lambda k: ln_fact.take(c[:, k]), range(c.shape[1]))
     x = c / n_spins
     if kernel is None:
         return x, log_g, None, None

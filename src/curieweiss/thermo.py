@@ -19,9 +19,11 @@ S = -sum x ln x.
 
 One private kernel (_Kernel) evaluates F, its x-gradient and the 2x2
 mean-phase curvature K, for one point or for points along leading batch
-axes; the minimizer and the finite-N oracle call it directly.  The energy
-Hessian in the weights is C K C^T (C the phases) and is never built.  The
-public functions take moments: they invert the affine chart x(m) and pull
+axes; the minimizer and the finite-N oracle call it directly.  In its
+energy, couplings of +0.0 and a zero b cost nothing: their terms are left
+out, and every bit of the full expression is kept.  The energy Hessian in
+the weights is C K C^T (C the phases) and is never built.  The public
+functions take moments: they invert the affine chart x(m) and pull
 derivatives back by the chain rule in one place (_evaluate), W^T g and
 J^T K J + W^T diag(T/x) W with W = dx/dm and J = C^T W.
 """
@@ -157,15 +159,26 @@ class _Kernel:
             home = self.table[int(float(params.sector) + l.twice_l / 2)]
             self.b -= params.g * (self.table @ home)
         self.b[self.mid] += params.h0
+        self.b_zero = not self.b.any()
+        # (J_2p / 2p, p) of the exchange terms phi keeps: all but those of a
+        # +0.0 coupling (a -0.0 one is kept, as t - (-0.0) turns -0.0 into +0.0)
+        self.exchange = [(j / (2 * p), p) for p, j in enumerate(
+            (params.j2, params.j4, params.j6, params.j8), 1)
+            if j != 0.0 or math.copysign(1.0, j) < 0.0]
 
     def phi(self, a):
-        pr = self.params
-        return -(pr.j2 / 2) * a - (pr.j4 / 4) * a**2 \
-            - (pr.j6 / 6) * a**3 - (pr.j8 / 8) * a**4
+        """phi(A) without the terms of +0.0 couplings: at finite A >= 0 they are
+        +0.0, and t - 0.0 = t, -0.0 - t = -t keep the full polynomial's bits."""
+        out = None
+        for c, p in self.exchange:
+            t = a if p == 1 else a**p
+            out = -c * t if out is None else out - c * t
+        return -0.0 * a if out is None else out
 
     def energy(self, x):
-        """phi(A) + b.x: exchange, sector coupling and level shift, per row."""
-        return self.phi(_mean_phase(self.table, x)[1]) + x @ self.b
+        """phi(A) + b.x: exchange, sector coupling and level shift, per row.
+        A zero b adds 0.0, which is x @ b on weights that sum to 1."""
+        return self.phi(_mean_phase(self.table, x)[1]) + (0.0 if self.b_zero else x @ self.b)
 
     def value(self, x):
         return self.energy(x) - self.params.temperature * _entropy(x)

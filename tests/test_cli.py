@@ -361,6 +361,13 @@ def test_landscape_bytes_pinned(args, digest):
         (["landscape", "--l", "4", "--resolution", "601", "--temp", "0.2",
           "--j4", "1"],
          "8b51436ade56d5a1a0ecab10c2fc8ab99a89c13182fb89a80ecbdd9872c4d58d"),
+        # nine-level rows, past the eight terms where numpy's row sum stops
+        # adding left to right; then a sector coupling, so a nonzero b
+        (["oracle", "--l", "8", "--temp", "0.3", "--n-list", "6,12"],
+         "dc8dc4c09bcb87b6cde6e76c2551188d5bfc5bc311ccdcc5508841be341c52e2"),
+        (["oracle", "--l", "4", "--temp", "0.3", "--g", "0.1", "--sector", "1",
+          "--n-list", "5,20"],
+         "722c87e8b2c63f2b79a1548dd19e60e22713d4936ca03373af296c40e36d6487"),
     ],
 )
 def test_report_bytes_pinned(args, digest):
