@@ -231,7 +231,12 @@ def _status(failures: int, total: int) -> tuple[str, int]:
 
 def _landscape_text(cfg: dict, header: str, notes: list[str], axes, ok,
                     fields) -> str:
-    """A landscape as CSV rows or as the rows of a JSON report.
+    """The pieces of _landscape_pieces as one string."""
+    return "".join(_landscape_pieces(cfg, header, notes, axes, ok, fields))
+
+
+def _landscape_pieces(cfg: dict, header: str, notes: list[str], axes, ok, fields):
+    """A landscape as CSV rows or as the rows of a JSON report, in pieces.
 
     The points are the grid of ``axes`` (one or two 1-D arrays, the first
     outermost).  A row holds the point's axis values, its feasibility flag
@@ -243,14 +248,18 @@ def _landscape_text(cfg: dict, header: str, notes: list[str], axes, ok,
     (float equality merges -0.0 and 0.0, printed -0 and 0), together with
     the flag: "1,<F>" for the first field, ",<F>" for later ones; infeasible
     cells read "0,nan" (",nan").  Only the cell codes, in the narrowest
-    integer type, are held per point.  The rows of one outer-axis value are
-    joined into one string.
+    integer type, are held per point.  The header lines are the first piece
+    and the rows of one outer-axis value each later one, made as they are
+    written: the whole text is never held, which would double the peak
+    memory of a large grid (17 MB of rows and as much again joined at 801²).
+    A JSON report is one piece.
     """
     if cfg["format"] == "json":
         columns = [a.ravel() for a in np.meshgrid(*axes, indexing="ij")]
         columns += [ok.astype(int), *fields]
         rows = list(zip(*(c.tolist() for c in columns)))
-        return _json_text(cfg, {"columns": header.split(","), "rows": rows}, {}, "ok")
+        yield _json_text(cfg, {"columns": header.split(","), "rows": rows}, {}, "ok")
+        return
     axis_texts = [[f"{v:.12g}," for v in a.tolist()] for a in axes]
     heads, tails = axis_texts if len(axes) == 2 else ([""], axis_texts[0])
     texts, codes = [], []
@@ -271,26 +280,26 @@ def _landscape_text(cfg: dict, header: str, notes: list[str], axes, ok,
     ]
     lines += [f"# {note}" for note in notes]
     lines.append(header)
+    yield "\n".join(lines) + "\n"
     width = len(tails)
-    # one outer-axis row: head tail_0 cell_0 "\n"head tail_1 cell_1 ...
-    parts = [None] * (3 * width - 1)
+    # one outer-axis row: head tail_0 cell_0 "\n"head tail_1 cell_1 ... "\n"
+    parts = [None] * (3 * width)
     parts[0::3] = tails
+    parts[-1] = "\n"
     for i, head in enumerate(heads):
         row = slice(i * width, (i + 1) * width)
         parts[1::3] = functools.reduce(functools.partial(map, operator.add),
                                        (t[c[row]].tolist() for t, c in zip(texts, codes)))
-        parts[2::3] = ["\n" + head] * (width - 1)
-        lines.append(head + "".join(parts))
-    del texts, codes, parts
-    lines.append("")
-    return "\n".join(lines)
+        parts[2:-1:3] = ["\n" + head] * (width - 1)
+        yield head + "".join(parts)
 
 
 # ---------------------------------------------------------------------------
-# subcommands; each returns (output text, exit code)
+# subcommands; each returns (output text, exit code), landscape its text
+# as an iterable of pieces
 
 
-def cmd_landscape(cfg: dict) -> tuple[str, int]:
+def cmd_landscape(cfg: dict):
     params = _make_params(cfg)
     resolution = int(cfg["resolution"])
     if resolution < 2:
@@ -307,9 +316,9 @@ def cmd_landscape(cfg: dict) -> tuple[str, int]:
             f_cpl, _ = free_energy_batch(params, m)
         else:
             f_cpl = f_unc
-        return _landscape_text(cfg, "m2,feasible,F_uncoupled,F_coupled",
-                               ["profile: m1 = 0 line"], (m2,), ok,
-                               (f_unc, f_cpl)), EXIT_OK
+        return _landscape_pieces(cfg, "m2,feasible,F_uncoupled,F_coupled",
+                                 ["profile: m1 = 0 line"], (m2,), ok,
+                                 (f_unc, f_cpl)), EXIT_OK
 
     k1, k2 = int(cfg["axis1"]), int(cfg["axis2"])
     if not (1 <= k1 <= params.l.twice_l and 1 <= k2 <= params.l.twice_l) or k1 == k2:
@@ -329,8 +338,8 @@ def cmd_landscape(cfg: dict) -> tuple[str, int]:
     f, ok = free_energy_batch(params, m)
     del g1, g2, m  # 20 MB at 801², not needed by the text, which sets the peak
     notes = [f"axes: m{k1} (rows), m{k2} (columns); other moments at paramagnet"]
-    return _landscape_text(cfg, f"m{k1},m{k2},feasible,F", notes, spans, ok,
-                           (f,)), EXIT_OK
+    return _landscape_pieces(cfg, f"m{k1},m{k2},feasible,F", notes, spans, ok,
+                             (f,)), EXIT_OK
 
 
 def cmd_minima(cfg: dict) -> tuple[str, int]:
@@ -511,16 +520,17 @@ def main(argv=None) -> int:
     except (ValueError, TypeError) as exc:
         print(f"curieweiss: error: {exc}", file=sys.stderr)
         return EXIT_USAGE
+    pieces = [text] if isinstance(text, str) else text
     if cfg["out"]:
         try:
             with open(cfg["out"], "w", encoding="utf-8", newline="\n") as fh:
-                fh.write(text)
+                fh.writelines(pieces)
         except OSError as exc:
             print(f"curieweiss: error: cannot write {cfg['out']}: {exc}",
                   file=sys.stderr)
             return EXIT_USAGE
     else:
-        sys.stdout.write(text)
+        sys.stdout.writelines(pieces)
     return code
 
 

@@ -427,6 +427,22 @@ def test_table_rows_match_per_row_formatting():
     assert ",0,nan\n" in body and ",1,nan\n" in body
 
 
+def test_landscape_pieces_are_header_then_one_per_outer_row():
+    # the text is written piece by piece, never held whole
+    cfg = cli._merge_config(cli._build_parser().parse_args(["landscape"]))
+    rng = np.random.default_rng(9)
+    rows, cols = _axis(rng, 5), _axis(rng, 7)
+    ok = rng.random(rows.size * cols.size) < 0.8
+    f = _field(rng, ok)
+    pieces = list(cli._landscape_pieces(cfg, "a,b,feasible,F", ["note"], (rows, cols),
+                                        ok, (f,)))
+    assert len(pieces) == 1 + rows.size
+    assert pieces[0].endswith("# note\na,b,feasible,F\n")
+    assert all(p.count("\n") == cols.size and p.endswith("\n") for p in pieces[1:])
+    assert "".join(pieces) == cli._landscape_text(cfg, "a,b,feasible,F", ["note"],
+                                                  (rows, cols), ok, (f,))
+
+
 def test_profile_csv_matches_per_row_formatting():
     # one axis and two fields: the profile's four columns
     rng = np.random.default_rng(8)
