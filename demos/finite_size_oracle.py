@@ -10,7 +10,6 @@ import math
 
 import numpy as np
 from fractions import Fraction
-from scipy.special import logsumexp
 
 from curieweiss import (
     ModelParams,
@@ -54,7 +53,8 @@ def main():
     # --- free ensemble: exact fluctuation identities ---
     n = 1000
     ens = enumerate_ensemble(L, n)
-    w = np.exp(ens.log_degeneracy - logsumexp(ens.log_degeneracy))
+    w = np.exp(ens.log_degeneracy - ens.log_degeneracy.max())
+    w /= w.sum()
     mean = w @ ens.moments
     var = w @ (ens.moments - mean) ** 2
     print(f"\nfree ensemble at N = {n} (J = g = 0):")

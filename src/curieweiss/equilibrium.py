@@ -22,8 +22,8 @@ import math
 from dataclasses import dataclass, replace
 
 import numpy as np
-from scipy.optimize import brentq
 
+from ._numerics import brentq
 from .errors import NoSolutionInBracket, NonConvergence
 from .order_params import MomentVector, weights_to_moments_array
 from .spectrum import SpinQuantum

@@ -14,8 +14,8 @@ import operator
 from dataclasses import dataclass
 
 import numpy as np
-from scipy.special import gammaln
 
+from ._numerics import ln_factorial
 from .errors import EnsembleTooLarge
 from .order_params import FEASIBILITY_TOL, WeightVector, weights_to_moments_array
 from .spectrum import SpinQuantum
@@ -134,7 +134,7 @@ def _block_rows(c: np.ndarray, n_spins: int, ln_fact: np.ndarray,
 
 def _ln_factorials(n_spins: int) -> np.ndarray:
     """ln k! for k = 0..n_spins."""
-    return gammaln(np.arange(n_spins + 1) + 1.0)
+    return ln_factorial(np.arange(n_spins + 1))
 
 
 def _log_sum_exp(a: np.ndarray) -> np.float64:
@@ -317,7 +317,7 @@ def stirling_entropy_error(l: SpinQuantum, n_spins: int, weights) -> float:
         weights = WeightVector(l, np.asarray(weights, dtype=float))
     x = weights.weights
     comp = nearest_composition(n_spins, x)
-    ln_mult = float(gammaln(n_spins + 1) - gammaln(comp + 1.0).sum())
+    ln_mult = float(ln_factorial(n_spins) - ln_factorial(comp).sum())
     pos = x[x > 0.0]
     limit = float(-(pos * np.log(pos)).sum())
     return abs(limit - ln_mult / n_spins)

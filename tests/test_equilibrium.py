@@ -463,6 +463,19 @@ def test_minimize_finds_shallow_local_orbit():
         ) < 1e-7
 
 
+def test_minimize_finds_metastable_orbit_just_below_the_spinodal():
+    # 0.999 T_ms, where roundoff decides whether a start leaves the plateau
+    t = 0.999 * 3.2484242903515505e-4
+    pr = ModelParams(SpinQuantum(3), temperature=t, j4=0.04296714758825315,
+                     j6=-0.6843885197641604, j8=-0.6208721049933246)
+    glo, loc = split(minimize(pr))
+    assert len(glo) == 1 and math.isclose(glo[0].f_value, -t * math.log(4.0), rel_tol=1e-9)
+    assert len(loc) == 4
+    for r in loc:
+        assert math.isclose(r.f_value, -4.466173046e-4, rel_tol=1e-9)
+        assert r.hessian_eigen_min > 0.0
+
+
 def test_minimize_finds_coupled_local_pair():
     pr = ModelParams(L1, temperature=0.0254, j2=-0.218, j4=0.52, g=0.075,
                      sector=Fraction(1))
