@@ -19,6 +19,7 @@ import dataclasses
 import functools
 import hashlib
 import json
+import math
 import operator
 import sys
 from fractions import Fraction
@@ -184,7 +185,7 @@ def _plain(obj):
         return int(obj)
     if isinstance(obj, np.floating):
         obj = float(obj)
-    if isinstance(obj, float) and not np.isfinite(obj):
+    if isinstance(obj, float) and not math.isfinite(obj):
         return None
     if isinstance(obj, Fraction):
         return str(obj)
@@ -229,12 +230,6 @@ def _status(failures: int, total: int) -> tuple[str, int]:
     return ("partial" if failures else "ok"), EXIT_OK
 
 
-def _landscape_text(cfg: dict, header: str, notes: list[str], axes, ok,
-                    fields) -> str:
-    """The pieces of _landscape_pieces as one string."""
-    return "".join(_landscape_pieces(cfg, header, notes, axes, ok, fields))
-
-
 def _landscape_pieces(cfg: dict, header: str, notes: list[str], axes, ok, fields):
     """A landscape as CSV rows or as the rows of a JSON report, in pieces.
 
@@ -266,8 +261,11 @@ def _landscape_pieces(cfg: dict, header: str, notes: list[str], axes, ok, fields
     for k, f in enumerate(fields):
         keys, inverse = np.unique(f.view(np.int64), return_inverse=True)
         lead = "," if k else "1,"
-        cells = [f"{lead}{v:.12g}" for v in keys.view(np.float64).tolist()]
-        cells.append(("," if k else "0,") + "nan")
+        # every distinct value in one %-format; the empty cell after the last
+        # separator becomes the infeasible cell
+        cells = ((lead + "%.12g\0") * len(keys) % tuple(keys.view(np.float64).tolist())
+                 ).split("\0")
+        cells[-1] = ("," if k else "0,") + "nan"
         texts.append(np.array(cells, object))
         codes.append(inverse.astype(np.min_scalar_type(len(keys))))
         codes[-1][~ok] = len(keys)

@@ -19,7 +19,7 @@ from ._numerics import ln_factorial
 from .errors import EnsembleTooLarge
 from .order_params import FEASIBILITY_TOL, WeightVector, weights_to_moments_array
 from .spectrum import SpinQuantum
-from .thermo import ModelParams, _blocks, _Kernel
+from .thermo import ModelParams, _blocks, _column_sum, _Kernel
 
 MAX_COMPOSITIONS = 2_000_000
 MAX_RAW_CONFIGURATIONS = 1_000_000
@@ -96,27 +96,6 @@ def _composition_counts(l: SpinQuantum, n_spins: int,
             f"exceeds the cap of {MAX_COMPOSITIONS}"
         )
     return _compositions(n_spins, d)
-
-
-def _column_sum(col, ks: range) -> np.ndarray:
-    """Sum of col(k) over ks in numpy's pairwise order (left to right below 8
-    terms, eight accumulators to 128, halves at a multiple of 8 above): the
-    bits of the stacked columns' .sum(axis=1).  col(k) must be fresh."""
-    n = len(ks)
-    if n > 128:
-        half = n // 2 - n // 2 % 8
-        return _column_sum(col, ks[:half]) + _column_sum(col, ks[half:])
-    if n < 8:
-        out, rest = col(ks[0]), ks[1:]
-    else:
-        acc = [col(k) for k in ks[:8]]
-        for i, k in enumerate(ks[8:n - n % 8]):
-            acc[i % 8] += col(k)
-        out = ((acc[0] + acc[1]) + (acc[2] + acc[3])) + ((acc[4] + acc[5]) + (acc[6] + acc[7]))
-        rest = ks[n - n % 8:]
-    for k in rest:
-        out += col(k)
-    return out
 
 
 def _block_rows(c: np.ndarray, n_spins: int, ln_fact: np.ndarray,

@@ -55,6 +55,12 @@ _EMPTY = 1e-300
 # temporaries.
 _CHUNK = 1 << 14
 
+# From this many rows on, _entropy sums by columns (_column_sum): numpy's
+# row sum calls one inner loop per row, which dominates on many short rows
+# (a 2^14-row block), while on the few rows of a descent the per-column
+# calls cost more.
+_COLUMN_ROWS = 2048
+
 
 @dataclass(frozen=True)
 class ModelParams:
@@ -140,9 +146,43 @@ def _mean_phase(table: np.ndarray, x: np.ndarray):
     return pq, sq[..., 0] + sq[..., 1]
 
 
+def _column_sum(col, ks: range) -> np.ndarray:
+    """Sum of col(k) over ks in numpy's pairwise order (left to right below 8
+    terms, eight accumulators to 128, halves at a multiple of 8 above), added
+    to numpy's starting +0.0, which turns a sum of -0.0 terms into +0.0: the
+    bits of the stacked columns' .sum(axis=-1), but for the sign of a NaN
+    made by inf - inf.  col(k) must be fresh."""
+    n = len(ks)
+    if n > 128:
+        half = n // 2 - n // 2 % 8
+        return _column_sum(col, ks[:half]) + _column_sum(col, ks[half:])
+    if n < 8:
+        out, rest = col(ks[0]), ks[1:]
+    else:
+        acc = [col(k) for k in ks[:8]]
+        for i, k in enumerate(ks[8:n - n % 8]):
+            acc[i % 8] += col(k)
+        out = ((acc[0] + acc[1]) + (acc[2] + acc[3])) + ((acc[4] + acc[5]) + (acc[6] + acc[7]))
+        rest = ks[n - n % 8:]
+    for k in rest:
+        out += col(k)
+    out += 0.0
+    return out
+
+
 def _entropy(x: np.ndarray):
-    """-sum x ln x per row; empty occupations give the 0 ln 0 = 0 limit."""
-    return -(x * np.log(np.maximum(x, _EMPTY))).sum(axis=-1)
+    """-sum x ln x per row; empty occupations give the 0 ln 0 = 0 limit.
+
+    From _COLUMN_ROWS rows of a C-ordered x on, the row sum runs by columns
+    in numpy's order, so with the bits of .sum(axis=-1).
+    """
+    if x.ndim < 2 or x.size < _COLUMN_ROWS * x.shape[-1] or not x.flags.c_contiguous:
+        return -(x * np.log(np.maximum(x, _EMPTY))).sum(axis=-1)
+
+    def term(k):
+        xk = x[..., k]
+        return xk * np.log(np.maximum(xk, _EMPTY))
+    return -_column_sum(term, range(x.shape[-1]))
 
 
 class _Kernel:
@@ -338,7 +378,12 @@ def free_energy_batch(params: ModelParams, m: np.ndarray):
     feasible = np.empty(len(points), bool)
     for rows in _blocks(len(points)):
         x = moments_to_weights_array(params.l, points[rows])
-        feasible[rows] = x.min(axis=-1) >= -FEASIBILITY_TOL
+        # column by column: the bits of x.min(axis=-1) >= -FEASIBILITY_TOL, a
+        # NaN row included, without one inner loop per row
+        ok = x[:, 0] >= -FEASIBILITY_TOL
+        for k in range(1, x.shape[1]):
+            ok &= x[:, k] >= -FEASIBILITY_TOL
+        feasible[rows] = ok
         f[rows] = kernel.value(np.clip(x, 0.0, None))
     f[~feasible] = np.nan
     return f.reshape(m.shape[:-1]), feasible.reshape(m.shape[:-1])

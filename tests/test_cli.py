@@ -185,6 +185,20 @@ def test_plain_writes_non_finite_array_values_as_null():
     assert cli._plain(np.array([3, 4])) == [3, 4]
 
 
+def test_plain_writes_non_finite_scalars_in_rows_as_null():
+    # a JSON landscape's rows hold Python floats from tolist; library values
+    # may be numpy scalars: non-finite ones of either kind print null
+    rows = [(0.5, float("nan"), float("inf"), -math.inf),
+            (np.float64(0.25), np.float64("nan"), np.float64("inf"), np.float64("-inf")),
+            (1, -0.0, 1e308, np.float64(-0.0))]
+    want = [[0.5, None, None, None], [0.25, None, None, None], [1, -0.0, 1e308, -0.0]]
+    assert cli._plain({"rows": rows}) == {"rows": want}
+    cfg = cli._merge_config(cli._build_parser().parse_args(["landscape", "--format", "json"]))
+    text = cli._json_text(cfg, {"rows": rows}, {}, "ok")
+    assert json.loads(text)["results"]["rows"] == want
+    assert "[\n        0.25,\n        null,\n        null,\n        null\n      ]" in text
+
+
 # --- 3. minima ---
 
 
@@ -380,7 +394,7 @@ def test_report_bytes_pinned(args, digest):
 
 def _landscape_csv_body(header, axes, ok, fields):
     cfg = cli._merge_config(cli._build_parser().parse_args(["landscape"]))
-    text = cli._landscape_text(cfg, header, ["note"], axes, ok, fields)
+    text = "".join(cli._landscape_pieces(cfg, header, ["note"], axes, ok, fields))
     head, body = text.split("\n" + header + "\n")
     assert head.startswith("# curieweiss landscape") and head.endswith("# note")
     return body
@@ -439,8 +453,8 @@ def test_landscape_pieces_are_header_then_one_per_outer_row():
     assert len(pieces) == 1 + rows.size
     assert pieces[0].endswith("# note\na,b,feasible,F\n")
     assert all(p.count("\n") == cols.size and p.endswith("\n") for p in pieces[1:])
-    assert "".join(pieces) == cli._landscape_text(cfg, "a,b,feasible,F", ["note"],
-                                                  (rows, cols), ok, (f,))
+    assert "".join(pieces) == "".join(cli._landscape_pieces(
+        cfg, "a,b,feasible,F", ["note"], (rows, cols), ok, (f,)))
 
 
 def test_profile_csv_matches_per_row_formatting():

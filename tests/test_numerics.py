@@ -139,10 +139,16 @@ def test_stirling_entropy_error_at_a_billion_spins_keeps_scipys_bits():
 
 
 def test_cli_runs_without_scipy(tmp_path):
+    # and the import loads no third-party package but numpy: each one adds
+    # to the start-up time of every process
     script = textwrap.dedent(f"""
         import sys
         sys.modules["scipy"] = None  # any scipy import now raises
+        before = set(sys.modules)   # .pth hooks may have loaded some already
         from curieweiss import cli
+        new = {{m.partition(".")[0] for m in set(sys.modules) - before}}
+        extra = new - set(sys.stdlib_module_names) - {{"numpy", "curieweiss"}}
+        assert not extra, sorted(extra)
         out = {str(tmp_path / "out")!r}
         for argv in (["minima"], ["critical", "--l", "2"], ["critical", "--l", "4"],
                      ["landscape"], ["symcheck"], ["oracle", "--l", "2", "--n-list", "5,20"]):

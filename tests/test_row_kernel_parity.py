@@ -23,10 +23,10 @@ from curieweiss import (
     raw_config_free_energy,
 )
 from curieweiss import oracle
-from curieweiss.oracle import _column_sum, _compositions, _ln_factorials
+from curieweiss.oracle import _compositions, _ln_factorials
 from curieweiss.order_params import weights_to_moments_array
 from curieweiss.spectrum import spectrum
-from curieweiss.thermo import _Kernel, _mean_phase
+from curieweiss.thermo import _column_sum, _Kernel, _mean_phase
 
 
 def reference_block_rows(c, n_spins, ln_fact, kernel):
