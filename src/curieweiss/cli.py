@@ -173,6 +173,12 @@ def _make_params(cfg: dict) -> ModelParams:
 
 def _plain(obj):
     """Collapse numpy scalars/arrays and Fractions for JSON/text output."""
+    # exact built-in types first: the cells of a JSON landscape are most calls
+    kind = type(obj)
+    if kind is float:
+        return obj if math.isfinite(obj) else None
+    if kind in (int, str, bool, type(None)):
+        return obj
     if isinstance(obj, dict):
         return {k: _plain(v) for k, v in obj.items()}
     if isinstance(obj, (list, tuple)):
@@ -239,14 +245,15 @@ def _landscape_pieces(cfg: dict, header: str, notes: list[str], axes, ok, fields
     wherever the point is infeasible, as free_energy_batch returns them.
 
     CSV writes floats as %.12g and the flag as 0 or 1.  Each axis value is
-    formatted once.  So is each distinct value of a field, keyed on its bits
-    (float equality merges -0.0 and 0.0, printed -0 and 0), together with
+    formatted once.  So is each distinct feasible value of a field, keyed on
+    its bits (float equality merges -0.0 and 0.0, printed -0 and 0), with
     the flag: "1,<F>" for the first field, ",<F>" for later ones; infeasible
     cells read "0,nan" (",nan").  Only the cell codes, in the narrowest
     integer type, are held per point.  The header lines are the first piece
     and the rows of one outer-axis value each later one, made as they are
     written: the whole text is never held, which would double the peak
     memory of a large grid (17 MB of rows and as much again joined at 801²).
+    An outer row with no feasible point is one join of lines built once.
     A JSON report is one piece.
     """
     if cfg["format"] == "json":
@@ -259,7 +266,7 @@ def _landscape_pieces(cfg: dict, header: str, notes: list[str], axes, ok, fields
     heads, tails = axis_texts if len(axes) == 2 else ([""], axis_texts[0])
     texts, codes = [], []
     for k, f in enumerate(fields):
-        keys, inverse = np.unique(f.view(np.int64), return_inverse=True)
+        keys, inverse = np.unique(f[ok].view(np.int64), return_inverse=True)
         lead = "," if k else "1,"
         # every distinct value in one %-format; the empty cell after the last
         # separator becomes the infeasible cell
@@ -267,8 +274,8 @@ def _landscape_pieces(cfg: dict, header: str, notes: list[str], axes, ok, fields
                  ).split("\0")
         cells[-1] = ("," if k else "0,") + "nan"
         texts.append(np.array(cells, object))
-        codes.append(inverse.astype(np.min_scalar_type(len(keys))))
-        codes[-1][~ok] = len(keys)
+        codes.append(np.full(ok.shape, len(keys), np.min_scalar_type(len(keys))))
+        codes[-1][ok] = inverse
     del keys, inverse, cells  # the last field's, alive to the end otherwise
     echo = _echo_config(cfg)
     lines = [
@@ -280,11 +287,16 @@ def _landscape_pieces(cfg: dict, header: str, notes: list[str], axes, ok, fields
     lines.append(header)
     yield "\n".join(lines) + "\n"
     width = len(tails)
+    dead_lines = [t + "0,nan" + ",nan" * (len(fields) - 1) + "\n" for t in tails]
+    live = ok.reshape(-1, width).any(axis=1)
     # one outer-axis row: head tail_0 cell_0 "\n"head tail_1 cell_1 ... "\n"
     parts = [None] * (3 * width)
     parts[0::3] = tails
     parts[-1] = "\n"
     for i, head in enumerate(heads):
+        if not live[i]:
+            yield head + head.join(dead_lines)
+            continue
         row = slice(i * width, (i + 1) * width)
         parts[1::3] = functools.reduce(functools.partial(map, operator.add),
                                        (t[c[row]].tolist() for t, c in zip(texts, codes)))

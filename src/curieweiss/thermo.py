@@ -367,9 +367,11 @@ def free_energy_batch(params: ModelParams, m: np.ndarray):
     """Grid fast path: F for many moment vectors at once, no derivatives.
 
     m has shape (npts, 2l) (or more leading axes).  Returns (f, feasible);
-    f is NaN where the point is infeasible.  The points are evaluated a block at a time, so
-    the weight-sized temporaries stay small whatever npts is; each row's
-    arithmetic is the same as in one call over all points.
+    f is NaN where the point is infeasible.  The points are evaluated a
+    block at a time, so the weight-sized temporaries stay small whatever
+    npts is.  A block with no feasible point is not evaluated; any other is
+    evaluated whole, as a row's bits from the BLAS products depend on where
+    it sits in the call.
     """
     m = np.asarray(m, dtype=float)
     points = m.reshape(-1, m.shape[-1])
@@ -384,6 +386,6 @@ def free_energy_batch(params: ModelParams, m: np.ndarray):
         for k in range(1, x.shape[1]):
             ok &= x[:, k] >= -FEASIBILITY_TOL
         feasible[rows] = ok
-        f[rows] = kernel.value(np.clip(x, 0.0, None))
+        f[rows] = kernel.value(np.clip(x, 0.0, None)) if ok.any() else np.nan
     f[~feasible] = np.nan
     return f.reshape(m.shape[:-1]), feasible.reshape(m.shape[:-1])

@@ -6,7 +6,8 @@ its F as kernel.value with reference_entropy.  free_energy_batch,
 run_symmetry_suite and _entropy must keep every bit of these, the sign of
 a zero and NaN rows included, on both sides of _COLUMN_ROWS and at widths
 2l + 1 = 2..13, past the eight terms where numpy's row sum stops adding
-left to right.
+left to right.  free_energy_batch evaluates only the blocks that hold a
+feasible point, each of them whole.
 """
 
 from fractions import Fraction
@@ -113,6 +114,49 @@ def test_batch_keeps_its_bits_at_edge_weights(twice_l, monkeypatch):
     got, want = free_energy_batch(params, x), reference_free_energy_batch(params, x)
     assert got[1][x.min(axis=1) == -FEASIBILITY_TOL].all()
     assert not got[1][x.min(axis=1) < -FEASIBILITY_TOL].any()
+    for g, w in zip(got, want):
+        assert same_bits(g, w)
+
+
+def count_value_calls(monkeypatch):
+    calls = []
+    value = _Kernel.value
+    monkeypatch.setattr(_Kernel, "value", lambda self, x: calls.append(len(x))
+                        or value(self, x))
+    return calls
+
+
+@pytest.mark.parametrize("twice_l", [1, 2, 3, 6, 12])
+def test_batch_skips_blocks_with_no_feasible_point(twice_l, monkeypatch):
+    # four blocks: the first and third wholly infeasible (off the simplex, with
+    # NaN rows), the second partly, the last, short one wholly feasible; the
+    # blocks that are evaluated are evaluated whole
+    params = params_for(twice_l)
+    rng = np.random.default_rng(twice_l)
+    m = weights_to_moments_array(params.l, rng.dirichlet(np.ones(params.l.n_states),
+                                                         3 * _CHUNK + 100))
+    dead = np.r_[0:_CHUNK, 2 * _CHUNK:3 * _CHUNK]
+    m[dead] = 10.0 + rng.random(m[dead].shape)
+    m[dead[::101]] = np.nan
+    m[_CHUNK:2 * _CHUNK:7] = -10.0
+    calls = count_value_calls(monkeypatch)
+    got, want = free_energy_batch(params, m), reference_free_energy_batch(params, m)
+    assert calls == [_CHUNK, 100]
+    assert not got[1][dead].any() and got[1][_CHUNK:2 * _CHUNK].any()
+    assert got[1][3 * _CHUNK:].all()
+    for g, w in zip(got, want):
+        assert same_bits(g, w)
+
+
+@pytest.mark.parametrize("twice_l", [1, 4])
+def test_batch_of_no_feasible_point_evaluates_nothing(twice_l, monkeypatch):
+    params = params_for(twice_l)
+    m = np.full((3, _CHUNK // 2 + 5, twice_l), 10.0)
+    m[1, ::3] = np.nan
+    calls = count_value_calls(monkeypatch)
+    got, want = free_energy_batch(params, m), reference_free_energy_batch(params, m)
+    assert calls == [] and got[0].shape == (3, _CHUNK // 2 + 5)
+    assert np.isnan(got[0]).all() and not got[1].any()
     for g, w in zip(got, want):
         assert same_bits(g, w)
 

@@ -8,6 +8,7 @@ import json
 import math
 import pathlib
 import re
+from fractions import Fraction
 
 import numpy as np
 import pytest
@@ -382,6 +383,11 @@ def test_landscape_bytes_pinned(args, digest):
         (["oracle", "--l", "4", "--temp", "0.3", "--g", "0.1", "--sector", "1",
           "--n-list", "5,20"],
          "722c87e8b2c63f2b79a1548dd19e60e22713d4936ca03373af296c40e36d6487"),
+        # a grid with outer rows of no feasible point (0.2 % of its points
+        # are feasible)
+        (["landscape", "--l", "6", "--resolution", "401", "--temp", "0.2",
+          "--j4", "1"],
+         "6156c232999935523e41c6da005228d47d3769c8c71c3f3a8f2bcc8a9e6637e4"),
     ],
 )
 def test_report_bytes_pinned(args, digest):
@@ -468,6 +474,54 @@ def test_profile_csv_matches_per_row_formatting():
     assert body == _per_row_csv((m2, ok, f_unc, f_cpl))
     cells = set(body.replace("\n", ",").split(","))
     assert {"0", "-0", "nan", "1e-300", "inf", "-inf"} <= cells
+
+
+def test_dead_rows_match_per_row_formatting():
+    # outer rows with no feasible point (the first, the last and three in a
+    # row) are written whole; one row holds a single live cell
+    rng = np.random.default_rng(10)
+    rows, cols = _axis(rng, 12), _axis(rng, 40)
+    ok = rng.random(rows.size * cols.size) < 0.5
+    grid = ok.reshape(rows.size, cols.size)
+    grid[[0, 4, 5, 6, -1]] = False
+    grid[8] = False
+    grid[8, 17] = True
+    f = _field(rng, ok)
+    body = _landscape_csv_body("a,b,feasible,F", (rows, cols), ok, (f,))
+    assert body == _per_row_csv((np.repeat(rows, cols.size), np.tile(cols, rows.size),
+                                 ok, f))
+    assert body.count(",1,") == ok.sum()
+
+
+def test_grid_of_no_feasible_point_matches_per_row_formatting():
+    # nothing to deduplicate: every row is a dead row
+    rng = np.random.default_rng(11)
+    rows, cols = _axis(rng, 5), _axis(rng, 9)
+    ok = np.zeros(rows.size * cols.size, bool)
+    f = np.full(ok.size, np.nan)
+    body = _landscape_csv_body("a,b,feasible,F", (rows, cols), ok, (f,))
+    assert body == _per_row_csv((np.repeat(rows, cols.size), np.tile(cols, rows.size),
+                                 ok, f))
+
+
+def test_infeasible_profile_matches_per_row_formatting():
+    rng = np.random.default_rng(12)
+    m2 = _axis(rng, 50)
+    ok = np.zeros(m2.size, bool)
+    f = np.full(m2.size, np.nan)
+    body = _landscape_csv_body("m2,feasible,F_uncoupled,F_coupled", (m2,), ok, (f, f))
+    assert body == _per_row_csv((m2, ok, f, f))
+    assert body.count(",0,nan,nan\n") == m2.size
+
+
+def test_plain_collapses_to_json_types():
+    nested = {"a": (1, (2.5, True)), "b": [np.float64(np.nan), float("inf"), None],
+              "c": Fraction(1, 2), "d": np.float64(-0.0), "e": np.int64(3), "f": "s"}
+    got = cli._plain(nested)
+    assert got == {"a": [1, [2.5, True]], "b": [None, None, None], "c": "1/2",
+                   "d": -0.0, "e": 3, "f": "s"}
+    assert got["a"][1][1] is True and type(got["e"]) is int
+    assert type(got["d"]) is float and math.copysign(1.0, got["d"]) < 0
 
 
 def test_landscape_header_names_axes():
