@@ -14,27 +14,21 @@ for some integers, so it would move the bits.
 from __future__ import annotations
 
 import math
-import sys
-from typing import NamedTuple
 
 import numpy as np
 
-
-class RootResults(NamedTuple):
-    """brentq's full output: the fields of scipy's RootResults that callers read."""
-
-    root: float
-    converged: bool
+from .errors import NonConvergence
 
 
-def brentq(f, a, b, args=(), xtol=2e-12, rtol=4 * sys.float_info.epsilon, maxiter=100,
-           full_output=False, disp=True):
+def brentq(f, a, b, args=(), xtol=1e-300, rtol=1e-14, maxiter=1000):
     """Root of f(x, *args) on [a, b], where f(a) and f(b) differ in sign.
 
-    scipy.optimize.brentq's interface, iterates and result: the root, or
-    (root, RootResults) with full_output.  Raises ValueError when f(a)
-    and f(b) share a sign or f returns NaN, and RuntimeError when maxiter
-    steps pass without convergence and disp is set.
+    scipy.optimize.brentq's iterates and root, at the library's settings
+    by default: a full-precision root, with room for brackets that span
+    hundreds of decades (a bracket down to 1e-250 takes over 100 steps).
+    Raises ValueError when f(a) and f(b) share a sign or f returns NaN,
+    and NonConvergence, carrying the last iterate as ``best``, when
+    maxiter steps pass without convergence.
     """
     def call(x):
         fx = float(f(x, *args))
@@ -42,17 +36,12 @@ def brentq(f, a, b, args=(), xtol=2e-12, rtol=4 * sys.float_info.epsilon, maxite
             raise ValueError(f"The function value at x={x:.6g} is NaN; solver cannot continue.")
         return fx
 
-    def result(x, converged):
-        if not converged and disp:
-            raise RuntimeError(f"Failed to converge after {maxiter} iterations, value is {x:f}")
-        return (x, RootResults(x, converged)) if full_output else x
-
     xpre, xcur = float(a), float(b)
     fpre, fcur = call(xpre), call(xcur)
     if fpre == 0.0:
-        return result(xpre, True)
+        return xpre
     if fcur == 0.0:
-        return result(xcur, True)
+        return xcur
     if (fpre < 0.0) == (fcur < 0.0):
         raise ValueError("f(a) and f(b) must have different signs")
     xblk = fblk = spre = scur = 0.0
@@ -66,7 +55,7 @@ def brentq(f, a, b, args=(), xtol=2e-12, rtol=4 * sys.float_info.epsilon, maxite
         delta = (xtol + rtol * abs(xcur)) / 2
         sbis = (xblk - xcur) / 2
         if fcur == 0.0 or abs(sbis) < delta:
-            return result(xcur, True)
+            return xcur
         if abs(spre) > delta and abs(fcur) < abs(fpre):
             if xpre == xblk:  # interpolate
                 stry = -fcur * (xcur - xpre) / (fcur - fpre)
@@ -86,7 +75,8 @@ def brentq(f, a, b, args=(), xtol=2e-12, rtol=4 * sys.float_info.epsilon, maxite
         else:
             xcur += delta if sbis > 0 else -delta
         fcur = call(xcur)
-    return result(xcur, False)
+    raise NonConvergence(f"brentq did not converge on [{a!r}, {b!r}] in {maxiter} steps",
+                         best=xcur)
 
 
 # lgam's Stirling-series coefficients in 1/x^2, highest power first: the

@@ -461,7 +461,7 @@ def cmd_oracle(cfg: dict) -> tuple[str, int]:
                 "free_energy": best.f_value,
                 "moments": best.m_star.values,
             }
-    except (CurieWeissError, ValueError) as exc:
+    except CurieWeissError as exc:
         residuals["reference_error"] = str(exc)
 
     entries = []

@@ -41,8 +41,8 @@ RANDOM_STARTS = 20
 class Minimum:
     """A converged stationary point of the free energy.
 
-    ``hessian_eigen_min`` is the stability number T + eig(K Sigma) of
-    _stability_eig, read off the 2x2 mean-phase curvature: the smallest
+    ``hessian_eigen_min`` is the stability number T + eig(K Sigma) that
+    _curvature reads off the 2x2 mean-phase curvature: the smallest
     eigenvalue of the sqrt(x)-rescaled weight-space Hessian on the simplex.
     It is T at the paramagnet when J2 = 0, the same for every orbit member,
     and negative exactly at saddles: its sign decides the classification.
@@ -95,11 +95,6 @@ def _curvature(kernel: _Kernel, t: float, x: np.ndarray, phase=None):
     return cov, m, eig
 
 
-def _stability_eig(kernel: _Kernel, t: float, x: np.ndarray) -> np.ndarray:
-    """The stability number of _curvature at temperature t, one per row of x."""
-    return _curvature(kernel, t, x)[2]
-
-
 def _softmax(v: np.ndarray) -> np.ndarray:
     v = v - v.max(axis=-1, keepdims=True)  # same x, per row; keeps exp bounded
     z = np.exp(v)
@@ -132,11 +127,6 @@ def _phase_state(kernel: _Kernel, lam: np.ndarray):
     tangent = np.abs(gap[:, None] @ (c.T - pq[:, :, None])).max(axis=-1)[:, 0]
     f = kernel.phi(a) + (x[:, None] @ kernel.b)[:, 0] - t * _entropy(x)  # kernel.value, bitwise
     return (x, f, gap, tangent, *phase)
-
-
-def _phase_point(kernel: _Kernel, lam: np.ndarray):
-    """x, F, the gap and the tangent gradient of _phase_state."""
-    return _phase_state(kernel, lam)[:4]
 
 
 def _newton_step(t: float, m: np.ndarray, eig: np.ndarray, gap: np.ndarray) -> np.ndarray:
@@ -250,7 +240,7 @@ def minimize(params: ModelParams, seed: int = 0) -> list[Minimum]:
         if not any(row[j] for j in kept):
             kept.append(i)
     kept = order[kept]
-    eigs = _stability_eig(kernel, params.temperature, x[kept])
+    eigs = _curvature(kernel, params.temperature, x[kept])[2]
 
     true_minima = f[kept][eigs > _SADDLE_TOL]
     f_best = true_minima.min() if true_minima.size else f[kept[0]]
@@ -294,19 +284,9 @@ def _sign_change_roots(f, grid, *args):
     vals = np.asarray(f(grid, *args), dtype=float)
     out = grid[vals == 0.0].tolist()
     for i in np.nonzero(vals[:-1] * vals[1:] < 0.0)[0]:
-        out.append(_brentq(f, grid[i], grid[i + 1], args))
+        out.append(brentq(f, grid[i], grid[i + 1], args))
     out.sort()
     return out
-
-
-def _brentq(f, a, b, args):
-    """Root of f(., *args) in [a, b] to full precision; NonConvergence past
-    1000 steps (brackets down to m2 = 1e-250 take brentq over 100)."""
-    root, info = brentq(f, a, b, args, xtol=1e-300, rtol=1e-14, maxiter=1000,
-                        full_output=True, disp=False)
-    if not info.converged:
-        raise NonConvergence(f"brentq did not converge on [{a!r}, {b!r}]", best=root)
-    return float(root)
 
 
 @dataclass(frozen=True)
@@ -359,7 +339,7 @@ class _Profile:
             if fa == 0.0:
                 return float(a)
             if fa * fb < 0.0:
-                return _brentq(self.slope, a, b, (t,))
+                return brentq(self.slope, a, b, (t,))
         raise NoSolutionInBracket(
             "no ferromagnetic branch: the profile slope never turns positive "
             f"below m2 = 2/3 at T = {t}"
@@ -448,7 +428,7 @@ def critical_temperature(params: ModelParams, spinodal=None) -> CriticalPoint:
         raise NoSolutionInBracket(
             "free-energy crossing not bracketed below the spinodal"
         )
-    t_c = float(brentq(ferro_gap, lo, hi, xtol=1e-13, rtol=1e-15))
+    t_c = brentq(ferro_gap, lo, hi, xtol=1e-13, rtol=1e-15, maxiter=100)
     m2_c = pr.root(t_c)
     return pr.point("critical_temperature", t_c, m2_c, {
         "stationarity": abs(pr.slope(m2_c, t_c)),
@@ -535,7 +515,7 @@ def branch_thresholds(params: ModelParams) -> tuple[CriticalPoint, CriticalPoint
         branch = functools.partial(_axis_branch, kernel, c)
         for k in _sign_change_roots(lambda k: branch(k)[2], kappa):
             x, t, _, _ = branch(k * (1.0 + 1e-3))
-            if t <= 0.0 or _stability_eig(kernel, t, x[None])[0] <= 0.0:
+            if t <= 0.0 or _curvature(kernel, t, x[None])[2][0] <= 0.0:
                 continue
             folds[branch(k)[1]] = k * e
             gaps = _sign_change_roots(lambda k: branch(k)[3],
@@ -551,7 +531,7 @@ def branch_thresholds(params: ModelParams) -> tuple[CriticalPoint, CriticalPoint
     def point(kind, found, name, check):
         t = max(found)
         at = _Kernel(replace(params, temperature=t))
-        x, _, _, tangent = _phase_point(at, t * found[t][None])
+        x, _, _, tangent = _phase_state(at, t * found[t][None])[:4]
         x = x[0]
         m = MomentVector(params.l, weights_to_moments_array(params.l, x))
         return CriticalPoint(kind, float(t), m, {
@@ -559,7 +539,7 @@ def branch_thresholds(params: ModelParams) -> tuple[CriticalPoint, CriticalPoint
             name: abs(float(check(at, x))), "continuous": continuous})
 
     return (point("spinodal", folds, "fold_eigenvalue",
-                  lambda at, x: _stability_eig(at, at.params.temperature, x[None])[0]),
+                  lambda at, x: _curvature(at, at.params.temperature, x[None])[2][0]),
             point("critical_temperature", crossings, "degeneracy",
                   lambda at, x: at.value(x) + at.params.temperature * math.log(n))
             if crossings else None)

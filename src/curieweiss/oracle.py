@@ -111,11 +111,6 @@ def _block_rows(c: np.ndarray, n_spins: int, ln_fact: np.ndarray,
     return x, log_g, energy, log_g - n_spins * energy / kernel.params.temperature
 
 
-def _ln_factorials(n_spins: int) -> np.ndarray:
-    """ln k! for k = 0..n_spins."""
-    return ln_factorial(np.arange(n_spins + 1))
-
-
 def _log_sum_exp(a: np.ndarray) -> np.float64:
     """ln sum exp(a) by scipy.special.logsumexp's arithmetic, in place.
 
@@ -168,7 +163,7 @@ def enumerate_ensemble(
     energy = np.empty(m_total) if params is not None else None
     log_weight = np.empty(m_total) if params is not None else None
     kernel = _Kernel(params) if params is not None else None
-    ln_fact = _ln_factorials(n_spins)
+    ln_fact = ln_factorial(np.arange(n_spins + 1))
     for rows in _blocks(m_total):
         x, log_degeneracy[rows], e, lw = _block_rows(counts[rows], n_spins, ln_fact, kernel)
         moments[rows] = weights_to_moments_array(l, x)
@@ -203,7 +198,7 @@ def canonical_sums(params: ModelParams, n_spins: int) -> tuple[float, np.ndarray
     l = params.l
     counts = _composition_counts(l, n_spins, params)
     kernel = _Kernel(params)
-    ln_fact = _ln_factorials(n_spins)
+    ln_fact = ln_factorial(np.arange(n_spins + 1))
     w = np.empty(counts.shape[0])
     for rows in _blocks(w.size):
         w[rows] = _block_rows(counts[rows], n_spins, ln_fact, kernel)[3]

@@ -181,10 +181,14 @@ def permutation_map_x(x: WeightVector) -> WeightVector:
 
 
 @lru_cache(maxsize=None)
-def _permutation_map_cached(twice_l: int) -> AffineMap:
-    l = SpinQuantum(twice_l)
+def permutation_map_m(l: SpinQuantum) -> AffineMap:
+    """The sigma -> sigma+1 relabeling as an affine map on moments.
+
+    Conjugate to permutation_map_x through the moment chart; applying it
+    2l+1 times is the identity.
+    """
     k_max = l.twice_l
-    _, from_full = _charts(twice_l)
+    _, from_full = _charts(l.twice_l)
     # Row of the inverse chart giving the top weight x_l as an affine
     # function of the moments; the shift wraps sigma = l around to -l,
     # everything else is the binomial expansion of (sigma+1)**k.
@@ -202,15 +206,6 @@ def _permutation_map_cached(twice_l: int) -> AffineMap:
     matrix.setflags(write=False)
     offset.setflags(write=False)
     return AffineMap(l=l, matrix=matrix, offset=offset)
-
-
-def permutation_map_m(l: SpinQuantum) -> AffineMap:
-    """The sigma -> sigma+1 relabeling as an affine map on moments.
-
-    Conjugate to permutation_map_x through the moment chart; applying it
-    2l+1 times is the identity.
-    """
-    return _permutation_map_cached(l.twice_l)
 
 
 def moment_orbit(m: MomentVector) -> list[MomentVector]:

@@ -105,8 +105,8 @@ def _horner(coeffs: np.ndarray, x: float) -> float:
 
 
 @lru_cache(maxsize=None)
-def _trig_poly_cached(twice_l: int) -> TrigPoly:
-    l = SpinQuantum(twice_l)
+def trig_poly(l: SpinQuantum) -> TrigPoly:
+    """Interpolating polynomials of cos and sin of 2*pi*s/(2l+1) on the spectrum."""
     nodes = spectrum_array(l)
     n = l.n_states
     # Vandermonde in ascending node order; numpy's solve does partially
@@ -122,8 +122,3 @@ def _trig_poly_cached(twice_l: int) -> TrigPoly:
     cos_c.setflags(write=False)
     sin_c.setflags(write=False)
     return TrigPoly(l=l, cos_coeffs=cos_c, sin_coeffs=sin_c)
-
-
-def trig_poly(l: SpinQuantum) -> TrigPoly:
-    """Interpolating polynomials of cos and sin of 2*pi*s/(2l+1) on the spectrum."""
-    return _trig_poly_cached(l.twice_l)

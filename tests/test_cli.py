@@ -14,9 +14,10 @@ import numpy as np
 import pytest
 from scipy.optimize import minimize_scalar
 
-from curieweiss import MAX_COMPOSITIONS, MAX_TWICE_L, cli, equilibrium
+from curieweiss import MAX_COMPOSITIONS, MAX_TWICE_L, cli, equilibrium, thermo
 from curieweiss.oracle import MAX_RAW_CONFIGURATIONS
 from curieweiss.errors import InfeasibleMoments
+from curieweiss.order_params import FEASIBILITY_TOL
 
 
 def run(args):
@@ -174,6 +175,25 @@ def test_critical_finds_the_spinodal_once(monkeypatch):
     assert rep["status"] == "partial" and calls == [1.0, -1.0]
     assert rep["residuals"]["T_c"] == rep["residuals"]["T_ms"] == {
         "error": "no spinodal point on the m1 = 0 profile"}
+
+
+def test_unconverged_critical_temperature_is_a_failed_part(monkeypatch):
+    # the T_c solve stops after 2 steps: T_c fails, T_ms and g_c are reported
+    solve = equilibrium.brentq
+
+    def capped(f, *args, **kwargs):
+        if f.__qualname__ == "critical_temperature.<locals>.ferro_gap":
+            kwargs["maxiter"] = 2
+        return solve(f, *args, **kwargs)
+
+    monkeypatch.setattr(equilibrium, "brentq", capped)
+    rep = run_json(["critical", "--temp", "0.4"])
+    assert rep["status"] == "partial"
+    res = rep["results"]
+    assert res["T_c"] is None and res["m2_c"] is None
+    assert "brentq" in rep["residuals"]["T_c"]["error"]
+    assert abs(res["T_ms"] - 0.3282568647349293) < 1e-9
+    assert abs(res["g_c"] - 0.17064175898980052) < 1e-9
 
 
 def test_plain_writes_non_finite_array_values_as_null():
@@ -636,6 +656,47 @@ def test_usage_errors(args):
     assert err.strip()
 
 
+@pytest.mark.parametrize("command", ["minima", "symcheck", "oracle"])
+@pytest.mark.parametrize("in_config", [False, True], ids=["flag", "config"])
+def test_negative_seed_is_a_usage_error(tmp_path, command, in_config):
+    if in_config:
+        cfg = tmp_path / "cfg.json"
+        cfg.write_text(json.dumps({"seed": -1}))
+        args = [command, "--config", str(cfg)]
+    else:
+        args = [command, "--seed", "-1"]
+    rc, out, err = run(args)
+    assert rc == cli.EXIT_USAGE and out == ""
+    assert "curieweiss: error:" in err
+
+
+# {tmp} is the test's directory; cfg.json there holds the text given
+_USAGE_ERRORS_WITH_NO_OUTPUT = {
+    "missing-config": (["minima", "--config", "{tmp}/missing.json"], None),
+    "config-not-json": (["minima", "--config", "{tmp}/cfg.json"], "{not json"),
+    "config-array": (["minima", "--config", "{tmp}/cfg.json"], "[1, 2]"),
+    "minima-csv": (["minima", "--format", "csv"], None),
+    "resolution-1": (["landscape", "--resolution", "1"], None),
+    "same-axes": (["landscape", "--axis1", "2", "--axis2", "2"], None),
+    "out-in-missing-dir": (["minima", "--out", "{tmp}/missing/out.json"], None),
+}
+
+
+@pytest.mark.parametrize("case", _USAGE_ERRORS_WITH_NO_OUTPUT)
+def test_usage_errors_write_nothing(tmp_path, case):
+    args, config = _USAGE_ERRORS_WITH_NO_OUTPUT[case]
+    args = [a.format(tmp=tmp_path) for a in args]
+    if config is not None:
+        (tmp_path / "cfg.json").write_text(config)
+    out_path = tmp_path / "out"
+    runs = [args] if "--out" in args else [args, [*args, "--out", str(out_path)]]
+    for argv in runs:
+        rc, out, err = run(argv)
+        assert rc == cli.EXIT_USAGE and out == "", argv
+        assert "curieweiss: error:" in err
+    assert not out_path.exists() and not (tmp_path / "missing").exists()
+
+
 def test_main_sequence_behaves_as_fresh_processes():
     # main reuses one parser per process; each call must still behave as the
     # same call on a freshly built parser
@@ -699,6 +760,17 @@ def test_readme_limits_match_code():
     assert int(cap.replace(" ", "")) == equilibrium.ITERATION_CAP
     # lam = 0, one start toward each of the 2l + 1 vertices, the random ones
     assert int(re.search(r"2l \+ (\d+) starts", text)[1]) == 2 + random_starts
+
+
+def test_readme_batch_limits_match_code():
+    # the feasibility tolerance and the block sizes of the landscape and
+    # oracle paths that README quotes are the ones the code uses
+    text = " ".join((pathlib.Path(__file__).parent.parent / "README.md").read_text().split())
+    assert float(re.search(r"−(\S+) \(`FEASIBILITY_TOL`\)", text)[1]) == FEASIBILITY_TOL
+    column_rows = re.search(r"from (\d+) rows on \(`thermo._COLUMN_ROWS`\)", text)[1]
+    assert int(column_rows) == thermo._COLUMN_ROWS
+    blocks = re.findall(r"2\^(\d+)-(?:point|row) block", text)
+    assert len(blocks) == 3 and {2 ** int(k) for k in blocks} == {thermo._CHUNK}
 
 
 def test_version_flag():

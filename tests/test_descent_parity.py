@@ -1,7 +1,7 @@
 """The fused lambda descent against a reference copy of the unfused one.
 
 reference_minimize is the minimizer as it stood before each iterate was
-evaluated once: _phase_point evaluates x(lam), then F through
+evaluated once: reference_phase_point evaluates x(lam), then F through
 kernel.value, and every step rebuilds the mean phase and phi'(A) for K,
 sums Sigma elementwise and calls np.linalg.solve; every orbit member is
 one np.roll and one chart call.  Same starts, tolerances and rules.

@@ -583,12 +583,12 @@ def test_settle_rows_independent_of_the_batch(monkeypatch, twice_l):
     assert u.shape == (twice_l + 22, 2)
     x, tangent_grad, steps = settle(kernel, u)
     t = pr.temperature
-    eig = equilibrium._stability_eig(kernel, t, x)
+    eig = equilibrium._curvature(kernel, t, x)[2]
     for i in range(len(u)):
         xi, grad_i, steps_i = settle(kernel, u[i:i + 1])
         assert np.array_equal(xi[0], x[i])
         assert grad_i[0] == tangent_grad[i] and steps_i[0] == steps[i]
-        assert equilibrium._stability_eig(kernel, t, x[i:i + 1])[0] == eig[i]
+        assert equilibrium._curvature(kernel, t, x[i:i + 1])[2][0] == eig[i]
 
 
 def dense_stability_eig(kernel, t, x):
@@ -624,20 +624,20 @@ def test_stability_eig_matches_dense_reference(twice_l):
                        np.zeros((1, n))])
         x = np.exp(u - u.max(axis=1, keepdims=True))
         x /= x.sum(axis=1, keepdims=True)
-        eig = equilibrium._stability_eig(kernel, t, x)
+        eig = equilibrium._curvature(kernel, t, x)[2]
         ref = dense_stability_eig(kernel, t, x)
         bound = 1e-13 * np.maximum(np.abs(ref), t)
         assert np.all(np.abs(eig - ref) <= bound)
         if case < 3:
             for k in range(1, n):
-                rolled = equilibrium._stability_eig(kernel, t, np.roll(x, k, axis=1))
+                rolled = equilibrium._curvature(kernel, t, np.roll(x, k, axis=1))[2]
                 assert np.all(np.abs(rolled - eig) <= bound)
 
 
 @pytest.mark.parametrize("twice_l", range(1, 21))
 def test_phase_derivatives_match_finite_differences(twice_l):
     # _settle's Newton step solves (alpha I + K Sigma / T) dlam = -g: central
-    # differences of _phase_point (h = 1e-6 T) on random rows, near-vertex
+    # differences of _phase_state (h = 1e-6 T) on random rows, near-vertex
     # rows (|lam| = 30 T) and lam = 0 give g's Jacobian I + K Sigma / T and
     # F's gradient Sigma g / T; the tangent output is T max|residual| of
     # the weight-space gradient at x(lam)
@@ -656,7 +656,7 @@ def test_phase_derivatives_match_finite_differences(twice_l):
         lam = np.vstack([rng.normal(size=(10, 2)),
                          30.0 * t * np.column_stack([np.cos(angle), np.sin(angle)]),
                          np.zeros((1, 2))])
-        x, f, gap, tangent = equilibrium._phase_point(kernel, lam)
+        x, f, gap, tangent = equilibrium._phase_state(kernel, lam)[:4]
         cov, k_cov, _ = equilibrium._curvature(kernel, t, x)
         jac = np.eye(2) + k_cov / t
         grad = (cov * gap[:, None]).sum(axis=-1) / t
@@ -664,8 +664,8 @@ def test_phase_derivatives_match_finite_differences(twice_l):
         h = 1e-6 * t
         fd_jac, fd_grad = np.empty_like(jac), np.empty_like(lam)
         for j, step in enumerate(h * np.eye(2)):
-            _, f_up, gap_up, _ = equilibrium._phase_point(kernel, lam + step)
-            _, f_down, gap_down, _ = equilibrium._phase_point(kernel, lam - step)
+            _, f_up, gap_up, _ = equilibrium._phase_state(kernel, lam + step)[:4]
+            _, f_down, gap_down, _ = equilibrium._phase_state(kernel, lam - step)[:4]
             fd_jac[:, :, j] = (gap_up - gap_down) / (2.0 * h)
             fd_grad[:, j] = (f_up - f_down) / (2.0 * h)
         scale = np.abs(jac).max(axis=(1, 2))
@@ -693,7 +693,7 @@ def test_settle_steps_are_newton_steps(monkeypatch):
     lam = -2.0 * kernel.dphi((pq * pq).sum(axis=1))[0][:, None] * pq
     kick = 1e-4 * np.random.default_rng(0).normal(size=(4 * len(x), 2))
     start = np.repeat(lam, 4, axis=0) + kick
-    before = equilibrium._phase_point(kernel, start)[3]
+    before = equilibrium._phase_state(kernel, start)[3]
     monkeypatch.setattr(equilibrium, "ITERATION_CAP", 1)
     after = equilibrium._settle(kernel, start)[1]
     assert len(x) == 3 and np.all(after <= before**2)

@@ -29,7 +29,7 @@ from curieweiss import (
 )
 from curieweiss import equilibrium
 from curieweiss._numerics import brentq, ln_factorial
-from curieweiss.errors import NoSolutionInBracket
+from curieweiss.errors import NoSolutionInBracket, NonConvergence
 
 L1 = SpinQuantum(2)
 
@@ -39,13 +39,12 @@ def same_bits(a, b):
                           np.asarray(b, dtype=float).view(np.int64))
 
 
-def both_brentq(*args, **kwargs):
-    """(port, scipy) results of one call, each as (root, converged)."""
-    out = []
-    for solve in (brentq, scipy_brentq):
-        root, info = solve(*args, **{**kwargs, "full_output": True, "disp": False})
-        out.append((root, info.converged))
-    return out
+def scipy_at_port_defaults(f, a, b, args=(), **kwargs):
+    """scipy's brentq at the port's default settings, overridden by kwargs:
+    (root, converged)."""
+    settings = {"xtol": 1e-300, "rtol": 1e-14, "maxiter": 1000, **kwargs}
+    root, info = scipy_brentq(f, a, b, args, **settings, full_output=True, disp=False)
+    return root, info.converged
 
 
 # --- brentq ---
@@ -56,12 +55,9 @@ def test_brentq_matches_scipy_at_every_library_call(monkeypatch):
 
     def compare(f, a, b, args=(), **kwargs):
         out = brentq(f, a, b, args, **kwargs)
-        want = scipy_brentq(f, a, b, args, **kwargs)
-        got = out
-        if kwargs.get("full_output"):
-            assert got[1].converged == want[1].converged
-            got, want = got[0], want[0]
-        assert type(got) is float and same_bits(got, want), (f.__qualname__, a, b)
+        want, converged = scipy_at_port_defaults(f, a, b, args, **kwargs)
+        assert converged
+        assert type(out) is float and same_bits(out, want), (f.__qualname__, a, b)
         calls.append(f.__qualname__)
         return out
 
@@ -94,8 +90,9 @@ def test_brentq_matches_scipy_at_every_library_call(monkeypatch):
     (lambda x: np.float64(x * x - 2.0), 0, 3),  # integer endpoints, numpy values
 ])
 def test_brentq_endpoints_like_scipy(f, a, b):
-    (root, ok), (want, want_ok) = both_brentq(f, a, b)
-    assert type(root) is float and same_bits(root, want) and ok == want_ok
+    root = brentq(f, a, b)
+    want, converged = scipy_at_port_defaults(f, a, b)
+    assert type(root) is float and same_bits(root, want) and converged
 
 
 def test_brentq_same_sign_raises_like_scipy():
@@ -106,12 +103,16 @@ def test_brentq_same_sign_raises_like_scipy():
 
 
 def test_brentq_exhausted_like_scipy():
-    (root, ok), (want, want_ok) = both_brentq(math.sin, 3.0, 4.0, maxiter=3)
-    assert not ok and not want_ok and same_bits(root, want)
-    for solve in (brentq, scipy_brentq):
-        with pytest.raises(RuntimeError, match="Failed to converge after 3 iterations"):
-            solve(math.sin, 3.0, 4.0, maxiter=3, disp=True)
-    assert same_bits(brentq(math.sin, 3.0, 4.0), scipy_brentq(math.sin, 3.0, 4.0))
+    # past maxiter the port raises NonConvergence carrying scipy's last iterate
+    want, converged = scipy_at_port_defaults(math.sin, 3.0, 4.0, maxiter=3)
+    with pytest.raises(NonConvergence, match="brentq did not converge") as info:
+        brentq(math.sin, 3.0, 4.0, maxiter=3)
+    assert not converged and type(info.value.best) is float
+    assert same_bits(info.value.best, want)
+    assert same_bits(brentq(math.sin, 3.0, 4.0), scipy_at_port_defaults(math.sin, 3.0, 4.0)[0])
+    # and at scipy's own defaults
+    assert same_bits(brentq(math.sin, 3.0, 4.0, xtol=2e-12, rtol=4 * np.finfo(float).eps,
+                            maxiter=100), scipy_brentq(math.sin, 3.0, 4.0))
 
 
 # --- ln k! ---
