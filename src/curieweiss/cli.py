@@ -20,7 +20,6 @@ import functools
 import hashlib
 import json
 import math
-import operator
 import sys
 from fractions import Fraction
 
@@ -244,16 +243,17 @@ def _landscape_pieces(cfg: dict, header: str, notes: list[str], axes, ok, fields
     (boolean array ``ok``) and its ``fields``: float64 columns that are NaN
     wherever the point is infeasible, as free_energy_batch returns them.
 
-    CSV writes floats as %.12g and the flag as 0 or 1.  Each axis value is
-    formatted once.  So is each distinct feasible value of a field, keyed on
-    its bits (float equality merges -0.0 and 0.0, printed -0 and 0), with
-    the flag: "1,<F>" for the first field, ",<F>" for later ones; infeasible
-    cells read "0,nan" (",nan").  Only the cell codes, in the narrowest
-    integer type, are held per point.  The header lines are the first piece
-    and the rows of one outer-axis value each later one, made as they are
-    written: the whole text is never held, which would double the peak
+    CSV writes floats as %.12g (-0 and 0, nan and inf each keep their own
+    text) and the flag as 0 or 1.  Each axis value is formatted once.  Each
+    inner-axis value has two line templates, built once: a feasible one,
+    "<tail>1,%.12g..." with one %.12g per field, and an infeasible one,
+    "<tail>0,nan...".  An outer row is the join of its points' templates,
+    formatted by one % over that row's feasible values, fields interleaved
+    per point; a row with no feasible point is one join and no %.  The
+    header lines are the first piece and the rows of one outer-axis value
+    each later one, made as they are written, so the text phase holds one
+    outer row: the whole text is never held, which would double the peak
     memory of a large grid (17 MB of rows and as much again joined at 801²).
-    An outer row with no feasible point is one join of lines built once.
     A JSON report is one piece.
     """
     if cfg["format"] == "json":
@@ -264,19 +264,6 @@ def _landscape_pieces(cfg: dict, header: str, notes: list[str], axes, ok, fields
         return
     axis_texts = [[f"{v:.12g}," for v in a.tolist()] for a in axes]
     heads, tails = axis_texts if len(axes) == 2 else ([""], axis_texts[0])
-    texts, codes = [], []
-    for k, f in enumerate(fields):
-        keys, inverse = np.unique(f[ok].view(np.int64), return_inverse=True)
-        lead = "," if k else "1,"
-        # every distinct value in one %-format; the empty cell after the last
-        # separator becomes the infeasible cell
-        cells = ((lead + "%.12g\0") * len(keys) % tuple(keys.view(np.float64).tolist())
-                 ).split("\0")
-        cells[-1] = ("," if k else "0,") + "nan"
-        texts.append(np.array(cells, object))
-        codes.append(np.full(ok.shape, len(keys), np.min_scalar_type(len(keys))))
-        codes[-1][ok] = inverse
-    del keys, inverse, cells  # the last field's, alive to the end otherwise
     echo = _echo_config(cfg)
     lines = [
         f"# curieweiss {cfg['command']} v{__version__}",
@@ -287,21 +274,16 @@ def _landscape_pieces(cfg: dict, header: str, notes: list[str], axes, ok, fields
     lines.append(header)
     yield "\n".join(lines) + "\n"
     width = len(tails)
-    dead_lines = [t + "0,nan" + ",nan" * (len(fields) - 1) + "\n" for t in tails]
-    live = ok.reshape(-1, width).any(axis=1)
-    # one outer-axis row: head tail_0 cell_0 "\n"head tail_1 cell_1 ... "\n"
-    parts = [None] * (3 * width)
-    parts[0::3] = tails
-    parts[-1] = "\n"
+    live, dead = (np.array([t + flag + cell * len(fields) + "\n" for t in tails], object)
+                  for flag, cell in (("1", ",%.12g"), ("0", ",nan")))
     for i, head in enumerate(heads):
-        if not live[i]:
-            yield head + head.join(dead_lines)
-            continue
         row = slice(i * width, (i + 1) * width)
-        parts[1::3] = functools.reduce(functools.partial(map, operator.add),
-                                       (t[c[row]].tolist() for t, c in zip(texts, codes)))
-        parts[2:-1:3] = ["\n" + head] * (width - 1)
-        yield head + "".join(parts)
+        cells = ok[row]
+        if not cells.any():
+            yield head + head.join(dead.tolist())
+            continue
+        values = np.stack([f[row][cells] for f in fields], axis=-1).ravel().tolist()
+        yield (head + head.join(np.where(cells, live, dead).tolist())) % tuple(values)
 
 
 # ---------------------------------------------------------------------------
@@ -341,12 +323,11 @@ def cmd_landscape(cfg: dict):
     for k in (k1, k2):
         vals = nodes**k
         spans.append(np.linspace(vals.min(), vals.max(), resolution))
-    g1, g2 = np.meshgrid(spans[0], spans[1], indexing="ij")
     m = np.tile(base, (resolution * resolution, 1))
-    m[:, k1 - 1] = g1.ravel()
-    m[:, k2 - 1] = g2.ravel()
+    grid = m.reshape(resolution, resolution, -1)  # a view: rows by columns
+    grid[:, :, k1 - 1] = spans[0][:, None]
+    grid[:, :, k2 - 1] = spans[1]
     f, ok = free_energy_batch(params, m)
-    del g1, g2, m  # 20 MB at 801², not needed by the text, which sets the peak
     notes = [f"axes: m{k1} (rows), m{k2} (columns); other moments at paramagnet"]
     return _landscape_pieces(cfg, f"m{k1},m{k2},feasible,F", notes, spans, ok,
                              (f,)), EXIT_OK

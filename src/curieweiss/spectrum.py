@@ -17,8 +17,10 @@ from functools import lru_cache
 
 import numpy as np
 
-# Vandermonde conditioning is tolerable up to here; beyond it the
-# interpolation degrades and the constructor refuses.
+# The largest 2l the constructor accepts.  The monomial moment chart is
+# far less accurate than that: its round trip weights -> moments ->
+# weights stays within FEASIBILITY_TOL only through 2l = 11 (1.6e-10 at
+# 2l = 10, 4.4e-8 at 12, 1.2 at 18, 86 at 20; README, "Numerical limits").
 MAX_TWICE_L = 20
 
 

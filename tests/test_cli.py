@@ -8,6 +8,7 @@ import json
 import math
 import pathlib
 import re
+import tracemalloc
 from fractions import Fraction
 
 import numpy as np
@@ -17,7 +18,9 @@ from scipy.optimize import minimize_scalar
 from curieweiss import MAX_COMPOSITIONS, MAX_TWICE_L, cli, equilibrium, thermo
 from curieweiss.oracle import MAX_RAW_CONFIGURATIONS
 from curieweiss.errors import InfeasibleMoments
-from curieweiss.order_params import FEASIBILITY_TOL
+from curieweiss.order_params import FEASIBILITY_TOL, paramagnet_moments
+from curieweiss.spectrum import spectrum_array
+from test_order_params import CHART_ROUND_TRIP_TWICE_L
 
 
 def run(args):
@@ -514,7 +517,7 @@ def test_dead_rows_match_per_row_formatting():
 
 
 def test_grid_of_no_feasible_point_matches_per_row_formatting():
-    # nothing to deduplicate: every row is a dead row
+    # nothing to format: every row is a dead row
     rng = np.random.default_rng(11)
     rows, cols = _axis(rng, 5), _axis(rng, 9)
     ok = np.zeros(rows.size * cols.size, bool)
@@ -532,6 +535,43 @@ def test_infeasible_profile_matches_per_row_formatting():
     body = _landscape_csv_body("m2,feasible,F_uncoupled,F_coupled", (m2,), ok, (f, f))
     assert body == _per_row_csv((m2, ok, f, f))
     assert body.count(",0,nan,nan\n") == m2.size
+
+
+def test_landscape_text_holds_one_outer_row_at_a_time():
+    # 300 x 300 points, 90 % of them feasible and 90 % of those values
+    # distinct: a table of distinct values would be larger than the text
+    cfg = cli._merge_config(cli._build_parser().parse_args(["landscape"]))
+    rng = np.random.default_rng(13)
+    rows, cols = _axis(rng, 300), _axis(rng, 300)
+    ok = rng.random(rows.size * cols.size) < 0.9
+    f = np.where(rng.random(ok.size) < 0.9, rng.standard_normal(ok.size), 0.5)
+    f[~ok] = np.nan
+    pieces = cli._landscape_pieces(cfg, "a,b,feasible,F", ["note"], (rows, cols), ok, (f,))
+    tracemalloc.start()
+    try:
+        length = sum(map(len, pieces))
+        peak = tracemalloc.get_traced_memory()[1]
+    finally:
+        tracemalloc.stop()
+    assert length > 4e6 and peak < 0.1 * length
+
+
+def test_landscape_axes_fill_the_moments_they_name():
+    # the row axis a higher moment than the column axis, with a moment
+    # between them: m is built here from np.meshgrid, as the axes read
+    args = ["landscape", "--l", "4", "--axis1", "4", "--axis2", "2", "--resolution", "37"]
+    rc, out, _ = run(args)
+    assert rc == cli.EXIT_OK
+    params = cli._make_params(cli._merge_config(cli._build_parser().parse_args(args)))
+    nodes = spectrum_array(params.l)
+    g4, g2 = np.meshgrid(*(np.linspace((nodes**k).min(), (nodes**k).max(), 37)
+                           for k in (4, 2)), indexing="ij")
+    m = np.tile(paramagnet_moments(params.l).values, (g4.size, 1))
+    m[:, 3], m[:, 1] = g4.ravel(), g2.ravel()
+    f, ok = thermo.free_energy_batch(params, m)
+    assert 0 < ok.sum() < ok.size
+    body = out.split("\nm4,m2,feasible,F\n")[1]
+    assert body == _per_row_csv((g4.ravel(), g2.ravel(), ok, f))
 
 
 def test_plain_collapses_to_json_types():
@@ -752,6 +792,10 @@ def test_readme_limits_match_code():
     assert len(quoted) == 2 and {int(a or b) for a, b in quoted} == {MAX_TWICE_L}
     assert float(re.search(r"above (\S+) compositions", text)[1]) == MAX_COMPOSITIONS
     assert float(re.search(r"\(2l \+ 1\)\^N ≤ (\S+)", text)[1]) == MAX_RAW_CONFIGURATIONS
+    # and the measured reach of the moment chart's round trip
+    reach = re.search(r"within `FEASIBILITY_TOL` = (\S+) through 2l = (\d+)", text)
+    assert float(reach[1]) == FEASIBILITY_TOL
+    assert int(reach[2]) == CHART_ROUND_TRIP_TWICE_L
     # and so are the minimizer's tolerance, start count and step cap
     assert float(re.search(r"`GRAD_TOL` = (\S+)", text)[1].rstrip(".")) == equilibrium.GRAD_TOL
     random_starts = int(re.search(r"`RANDOM_STARTS` = (\d+)", text)[1])

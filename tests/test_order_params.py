@@ -26,8 +26,12 @@ from curieweiss import (
     weights_to_moments,
     weights_to_moments_array,
 )
+from curieweiss.order_params import FEASIBILITY_TOL
 
 ALL_FIVE = (1, 2, 3, 4, 5)
+# The largest 2l whose chart round trip x -> m -> x stays within
+# FEASIBILITY_TOL (README, "Numerical limits"); the vertices set the error.
+CHART_ROUND_TRIP_TWICE_L = 11
 
 # x_sigma = INV_OFFSET + INV_MATRIX @ m, rows in ascending sigma.
 INV_MATRIX = {
@@ -215,6 +219,24 @@ def test_roundtrip(twice_l):
     assert np.max(np.abs(back - x)) < 1e-9
     again = weights_to_moments_array(l, back)
     assert np.max(np.abs(again - m)) < 1e-9
+
+
+def _chart_round_trip_error(twice_l):
+    """Largest |x - x'| over x -> m -> x' for 2000 random points and the vertices."""
+    l = SpinQuantum(twice_l)
+    x = np.vstack([random_weights(l, np.random.default_rng(80 + twice_l), 2000),
+                   np.eye(l.n_states)])
+    return np.max(np.abs(moments_to_weights_array(l, weights_to_moments_array(l, x)) - x))
+
+
+@pytest.mark.parametrize("twice_l", range(1, CHART_ROUND_TRIP_TWICE_L + 1))
+def test_chart_round_trip_within_feasibility_tol(twice_l):
+    assert _chart_round_trip_error(twice_l) < FEASIBILITY_TOL
+
+
+def test_chart_round_trip_limit_is_tight():
+    # one step past the quoted limit the round trip misses the tolerance
+    assert _chart_round_trip_error(CHART_ROUND_TRIP_TWICE_L + 1) > FEASIBILITY_TOL
 
 
 def test_moment_orbit_vertices():
