@@ -8,7 +8,8 @@ finite-N comparison).  Output is deterministic for a fixed config and
 seed; every file starts with a header carrying the version, the
 effective config, and a provenance hash over both.
 
-Exit codes: 0 success, 1 usage error, 2 numerical failure.
+Exit codes: 0 success, 1 usage error, 2 numerical failure: a report
+exits 2 exactly when its status is "failed" ("ok" and "partial" exit 0).
 """
 
 from __future__ import annotations
@@ -228,15 +229,15 @@ def _json_text(cfg: dict, results, residuals, status: str) -> str:
     return json.dumps(report, indent=2, allow_nan=False) + "\n"
 
 
-def _status(failures: int, total: int) -> tuple[str, int]:
-    """Report status and exit code: only a total failure is a numerical one."""
+def _status(failures: int, total: int) -> str:
+    """Report status of a report in parts: only a total failure fails it."""
     if failures == total:
-        return "failed", EXIT_NUMERICAL
-    return ("partial" if failures else "ok"), EXIT_OK
+        return "failed"
+    return "partial" if failures else "ok"
 
 
 def _landscape_pieces(cfg: dict, header: str, notes: list[str], axes, ok, fields):
-    """A landscape as CSV rows or as the rows of a JSON report, in pieces.
+    """A landscape as CSV text, in pieces.
 
     The points are the grid of ``axes`` (one or two 1-D arrays, the first
     outermost).  A row holds the point's axis values, its feasibility flag
@@ -254,14 +255,7 @@ def _landscape_pieces(cfg: dict, header: str, notes: list[str], axes, ok, fields
     each later one, made as they are written, so the text phase holds one
     outer row: the whole text is never held, which would double the peak
     memory of a large grid (17 MB of rows and as much again joined at 801²).
-    A JSON report is one piece.
     """
-    if cfg["format"] == "json":
-        columns = [a.ravel() for a in np.meshgrid(*axes, indexing="ij")]
-        columns += [ok.astype(int), *fields]
-        rows = list(zip(*(c.tolist() for c in columns)))
-        yield _json_text(cfg, {"columns": header.split(","), "rows": rows}, {}, "ok")
-        return
     axis_texts = [[f"{v:.12g}," for v in a.tolist()] for a in axes]
     heads, tails = axis_texts if len(axes) == 2 else ([""], axis_texts[0])
     echo = _echo_config(cfg)
@@ -287,8 +281,8 @@ def _landscape_pieces(cfg: dict, header: str, notes: list[str], axes, ok, fields
 
 
 # ---------------------------------------------------------------------------
-# subcommands; each returns (output text, exit code), landscape its text
-# as an iterable of pieces
+# subcommands; each returns its JSON report's (results, residuals, status),
+# landscape its CSV pieces unless --format json
 
 
 def cmd_landscape(cfg: dict):
@@ -308,37 +302,41 @@ def cmd_landscape(cfg: dict):
             f_cpl, _ = free_energy_batch(params, m)
         else:
             f_cpl = f_unc
-        return _landscape_pieces(cfg, "m2,feasible,F_uncoupled,F_coupled",
-                                 ["profile: m1 = 0 line"], (m2,), ok,
-                                 (f_unc, f_cpl)), EXIT_OK
+        header, fields = "m2,feasible,F_uncoupled,F_coupled", (f_unc, f_cpl)
+        notes, axes = ["profile: m1 = 0 line"], (m2,)
+    else:
+        k1, k2 = int(cfg["axis1"]), int(cfg["axis2"])
+        if not (1 <= k1 <= params.l.twice_l and 1 <= k2 <= params.l.twice_l) or k1 == k2:
+            raise UsageError(
+                f"axes must be two distinct moment indices in 1..{params.l.twice_l}"
+            )
+        nodes = spectrum_array(params.l)
+        base = paramagnet_moments(params.l).values
+        axes = []
+        for k in (k1, k2):
+            vals = nodes**k
+            axes.append(np.linspace(vals.min(), vals.max(), resolution))
+        m = np.tile(base, (resolution * resolution, 1))
+        grid = m.reshape(resolution, resolution, -1)  # a view: rows by columns
+        grid[:, :, k1 - 1] = axes[0][:, None]
+        grid[:, :, k2 - 1] = axes[1]
+        f, ok = free_energy_batch(params, m)
+        header, fields = f"m{k1},m{k2},feasible,F", (f,)
+        notes = [f"axes: m{k1} (rows), m{k2} (columns); other moments at paramagnet"]
+    if cfg["format"] != "json":
+        return _landscape_pieces(cfg, header, notes, axes, ok, fields)
+    columns = [a.ravel() for a in np.meshgrid(*axes, indexing="ij")]
+    columns += [ok.astype(int), *fields]
+    rows = list(zip(*(c.tolist() for c in columns)))
+    return {"columns": header.split(","), "rows": rows}, {}, "ok"
 
-    k1, k2 = int(cfg["axis1"]), int(cfg["axis2"])
-    if not (1 <= k1 <= params.l.twice_l and 1 <= k2 <= params.l.twice_l) or k1 == k2:
-        raise UsageError(
-            f"axes must be two distinct moment indices in 1..{params.l.twice_l}"
-        )
-    nodes = spectrum_array(params.l)
-    base = paramagnet_moments(params.l).values
-    spans = []
-    for k in (k1, k2):
-        vals = nodes**k
-        spans.append(np.linspace(vals.min(), vals.max(), resolution))
-    m = np.tile(base, (resolution * resolution, 1))
-    grid = m.reshape(resolution, resolution, -1)  # a view: rows by columns
-    grid[:, :, k1 - 1] = spans[0][:, None]
-    grid[:, :, k2 - 1] = spans[1]
-    f, ok = free_energy_batch(params, m)
-    notes = [f"axes: m{k1} (rows), m{k2} (columns); other moments at paramagnet"]
-    return _landscape_pieces(cfg, f"m{k1},m{k2},feasible,F", notes, spans, ok,
-                             (f,)), EXIT_OK
 
-
-def cmd_minima(cfg: dict) -> tuple[str, int]:
+def cmd_minima(cfg: dict) -> tuple[dict, dict, str]:
     params = _make_params(cfg)
     try:
         found = minimize(params, seed=int(cfg["seed"]))
     except NonConvergence as exc:
-        return _json_text(cfg, {}, {"error": str(exc)}, "failed"), EXIT_NUMERICAL
+        return {}, {"error": str(exc)}, "failed"
     results = {
         "minima": [
             {
@@ -357,12 +355,11 @@ def cmd_minima(cfg: dict) -> tuple[str, int]:
         "n_found": len(found),
         "n_global": n_global,
     }
-    if not n_global:   # every point kept is a saddle: no minimum to report
-        return _json_text(cfg, results, residuals, "failed"), EXIT_NUMERICAL
-    return _json_text(cfg, results, residuals, "ok"), EXIT_OK
+    # with no global minimum every point kept is a saddle: none to report
+    return results, residuals, "ok" if n_global else "failed"
 
 
-def cmd_critical(cfg: dict) -> tuple[str, int]:
+def cmd_critical(cfg: dict) -> tuple[dict, dict, str]:
     params = _make_params(cfg)
     if params.g != 0.0 or params.h0 != 0.0:
         raise UsageError(
@@ -394,11 +391,10 @@ def cmd_critical(cfg: dict) -> tuple[str, int]:
         if params.l.twice_l == 2:
             results[location] = None if failed else float(point.order_param.values[1])
         residuals[key] = {"error": str(point)} if failed else point.residuals
-    status, code = _status(sum(isinstance(p, Exception) for p in points), 3)
-    return _json_text(cfg, results, residuals, status), code
+    return results, residuals, _status(sum(isinstance(p, Exception) for p in points), 3)
 
 
-def cmd_symcheck(cfg: dict) -> tuple[str, int]:
+def cmd_symcheck(cfg: dict) -> tuple[dict, dict, str]:
     params = _make_params(cfg)
     samples = int(cfg["samples"])
     deviations = run_symmetry_suite(params.l, samples=samples, seed=int(cfg["seed"]))
@@ -408,15 +404,10 @@ def cmd_symcheck(cfg: dict) -> tuple[str, int]:
         "tolerances": dict(TOLERANCES),
         "passed": passed,
     }
-    ok = all(passed.values())
-    status = "ok" if ok else "failed"
-    return (
-        _json_text(cfg, results, deviations, status),
-        EXIT_OK if ok else EXIT_NUMERICAL,
-    )
+    return results, deviations, "ok" if all(passed.values()) else "failed"
 
 
-def cmd_oracle(cfg: dict) -> tuple[str, int]:
+def cmd_oracle(cfg: dict) -> tuple[dict, dict, str]:
     params = _make_params(cfg)
     n_list = cfg["n_list"]
     if not n_list or any(n < 1 for n in n_list):
@@ -481,10 +472,10 @@ def cmd_oracle(cfg: dict) -> tuple[str, int]:
             residuals["gap_rate_constant"] = max(
                 g * n / np.log(n) for n, g in gaps
             )
-    status, code = _status(failures, len(n_list))
+    status = _status(failures, len(n_list))
     if reference is None and status == "ok":
         status = "partial"   # no large-N limit to compare with
-    return _json_text(cfg, results, residuals, status), code
+    return results, residuals, status
 
 
 _COMMANDS = {
@@ -503,7 +494,11 @@ def main(argv=None) -> int:
         cfg = _merge_config(args)
         if cfg["format"] == "csv" and args.command != "landscape":
             raise UsageError(f"{args.command} emits a JSON report")
-        text, code = _COMMANDS[args.command][0](cfg)
+        report = _COMMANDS[args.command][0](cfg)
+        if isinstance(report, tuple):   # a JSON report's (results, residuals, status)
+            status, pieces = report[2], [_json_text(cfg, *report)]
+        else:                           # a landscape's CSV pieces
+            status, pieces = "ok", report
     except CurieWeissError as exc:
         # before ValueError: InfeasibleMoments and EnsembleTooLarge are both
         print(f"curieweiss: numerical failure: {exc}", file=sys.stderr)
@@ -511,7 +506,6 @@ def main(argv=None) -> int:
     except (ValueError, TypeError) as exc:
         print(f"curieweiss: error: {exc}", file=sys.stderr)
         return EXIT_USAGE
-    pieces = [text] if isinstance(text, str) else text
     if cfg["out"]:
         try:
             with open(cfg["out"], "w", encoding="utf-8", newline="\n") as fh:
@@ -522,7 +516,7 @@ def main(argv=None) -> int:
             return EXIT_USAGE
     else:
         sys.stdout.writelines(pieces)
-    return code
+    return EXIT_NUMERICAL if status == "failed" else EXIT_OK
 
 
 if __name__ == "__main__":

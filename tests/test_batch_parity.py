@@ -209,11 +209,11 @@ def test_single_point_entropy_and_free_energy_keep_their_bits(twice_l):
 @pytest.mark.parametrize("samples", [500, _COLUMN_ROWS + 500])
 def test_symmetry_suite_keeps_its_bits(twice_l, samples, monkeypatch):
     l = SpinQuantum(twice_l)
-    x = np.random.default_rng(twice_l).dirichlet(np.ones(l.n_states), samples)
-    got_f = properties._sector_free_energies(l, x)
+    here = np.random.default_rng(twice_l).dirichlet(np.ones(l.n_states), samples)
+    there = np.roll(here, 1, axis=1)  # the cycled image: F_s here is F_s+1 there
+    got_shift = properties._sector_shift(l, here.copy(), there.copy())
     got = run_symmetry_suite(l, samples=samples, seed=twice_l)
     monkeypatch.setattr(properties, "_entropy", reference_entropy)
-    want_f = properties._sector_free_energies(l, x)
-    assert all(same_bits(g, w) for g, w in zip(got_f, want_f))
+    assert same_bits(got_shift, properties._sector_shift(l, here.copy(), there.copy()))
     assert same_bits(list(got.values()),
                      list(run_symmetry_suite(l, samples=samples, seed=twice_l).values()))

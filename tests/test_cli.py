@@ -766,6 +766,35 @@ def test_numerical_failure_exit_code(monkeypatch):
     assert rc == cli.EXIT_USAGE
 
 
+# (arguments, status) per JSON command: every status each can report
+_REPORT_STATUSES = [
+    (["landscape", "--format", "json", "--resolution", "5"], "ok"),
+    (["landscape", "--profile", "--format", "json", "--resolution", "5"], "ok"),
+    (["minima", "--l", "3"], "ok"),
+    # only the paramagnet, a saddle, is kept
+    (["minima", "--l", "2", "--temp", "2.4725542459624005e-4", "--j2",
+      "0.4673648323465873", "--j4", "-0.42154287970544124", "--j8",
+      "-0.6395052747825778"], "failed"),
+    (["critical", "--temp", "0.4"], "ok"),
+    (["critical", "--l", "4", "--temp", "0.2"], "partial"),
+    (["symcheck", "--samples", "50"], "ok"),
+    (["symcheck", "--l", "13", "--samples", "50"], "failed"),  # chart conditioning
+    (["oracle", "--n-list", "3,5"], "ok"),
+    (["oracle", "--n-list", "4,2000000"], "partial"),
+    (["oracle", "--l", "5", "--n-list", "100,200"], "failed"),
+]
+
+
+def test_exit_code_follows_report_status():
+    # one rule for every JSON command: exit 2 iff the status is "failed"
+    for args, status in _REPORT_STATUSES:
+        rc, out, _ = run(args)
+        assert json.loads(out)["status"] == status, args
+        assert rc == (cli.EXIT_NUMERICAL if status == "failed" else cli.EXIT_OK), args
+    assert {args[0] for args, _ in _REPORT_STATUSES} == set(cli._COMMANDS)
+    assert {status for _, status in _REPORT_STATUSES} == {"ok", "partial", "failed"}
+
+
 def test_readme_option_table_matches_cli():
     # the documented options of each command are the ones it accepts
     text = (pathlib.Path(__file__).parent.parent / "README.md").read_text()

@@ -1,5 +1,7 @@
 """Randomized invariant suite across all supported spins."""
 
+import tracemalloc
+
 import numpy as np
 import pytest
 
@@ -71,6 +73,19 @@ def test_suite_deviation_scale():
     # deviations should sit many orders below the acceptance bars
     dev = run_symmetry_suite(SpinQuantum(2), samples=1000, seed=0)
     assert max(dev.values()) < 1e-11
+
+
+def test_suite_working_set():
+    # each sample-sized array is dropped once its check has read it: the peak
+    # stays below six arrays of samples x (2l+1) floats
+    l, samples = SpinQuantum(3), 80000
+    tracemalloc.start()
+    try:
+        run_symmetry_suite(l, samples=samples, seed=5)
+        peak = tracemalloc.get_traced_memory()[1]
+    finally:
+        tracemalloc.stop()
+    assert peak < 6 * samples * l.n_states * 8, peak
 
 
 def _reference_suite(l, samples, seed):
